@@ -1,0 +1,8 @@
+"""Import csdn from the source tree beside the benchmark."""
+
+import sys
+
+from perfbench import SRC
+
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
