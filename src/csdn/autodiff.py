@@ -32,10 +32,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class AutodiffError(RuntimeError):
     pass
 
@@ -267,10 +263,8 @@ def _binary(op: str, a: Tensor, b: Tensor) -> Tensor:
         out_data = a.data + b.data
     elif op == "sub":
         out_data = a.data - b.data
-    elif op == "mul":
-        out_data = a.data * b.data
     else:
-        raise AutodiffError(f"unknown elementwise op {op!r}")
+        out_data = a.data * b.data
     out = Tensor(out_data)
     a_shape, b_shape = a.shape, b.shape
     a_data, b_data = a.data, b.data
@@ -298,11 +292,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     return _binary("mul", a, b)
-
-
-def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Dispatch by name; op is one of {"add", "mul", "sub"}."""
-    return _binary(op, a, b)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -467,9 +456,6 @@ class ParameterStore:
 
     def __len__(self) -> int:
         return len(self._params)
-
-    def total_size(self) -> int:
-        return sum(t.size() for t in self._params.values())
 
     def zero_grad(self):
         for t in self._params.values():

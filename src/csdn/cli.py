@@ -41,70 +41,50 @@ class DataError(Exception):
 
 # -- run configuration --------------------------------------------------------
 
-# flat key=value files; "#" starts a comment, unknown keys are rejected
+# flat key=value files; "#" starts a comment, unknown keys are rejected.
+# The keys are "preset" plus the fields of the three config dataclasses; a
+# field two configs share (aux_weight) is one key that sets both.
 _PRESETS = {"reference": NetworkConfig, "tiny": NetworkConfig.tiny,
             "micro": NetworkConfig.micro, "desk": NetworkConfig.desk}
 
-_NETWORK_KEYS = {
-    "preset": ("choice", tuple(_PRESETS)),
-    "in_frames": ("int",),
-    "num_classes": ("int",),
-    "downsample_r": ("int",),
-    "shallow_channels": ("int3",),
-    "stem_channels": ("int",),
-    "ge_stage_channels": ("int3",),
-    "ge_expansion": ("int",),
-    "ge_layers": ("int3",),
-    "fusion_channels": ("int",),
-    "head_channels": ("int",),
-    "aux_channels": ("int",),
-    "aux_weight": ("float",),
-}
-_TRAIN_KEYS = {
-    "epochs": ("int",),
-    "batch_size": ("int",),
-    "lr0": ("float",),
-    "lr_step": ("int",),
-    "lr_factor": ("float",),
-    "weight_decay": ("float",),
-    "decoupled_decay": ("bool",),
-    "seed": ("int",),
-    "checkpoint_every": ("int",),
-    "val_every": ("int",),
-    "augment": ("choice", ("full", "mild", "none")),
-}
-_LOSS_KEYS = {
-    "focal_gamma": ("float",),
-    "focal_alpha": ("alpha",),
-    "dice_eps": ("float",),
-}
 
-
-def _convert(spec, val: str):
-    kind = spec[0]
-    if kind == "int":
-        return int(val)
-    if kind == "float":
-        return float(val)
-    if kind == "bool":
-        low = val.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: '{val}'")
-    if kind == "int3":
-        parts = [int(p) for p in val.split(",")]
-        if len(parts) != 3:
-            raise ValueError("need three comma-separated integers")
-        return tuple(parts)
-    if kind == "alpha":
-        if val.lower() == "none":
-            return None
-        return tuple(float(p) for p in val.split(","))
-    if val not in spec[1]:
-        raise ValueError(f"must be one of {', '.join(spec[1])}")
+def _parse_preset(val: str) -> str:
+    if val not in _PRESETS:
+        raise ValueError(f"must be one of {', '.join(_PRESETS)}")
     return val
+
+
+def _parse_bool(val: str) -> bool:
+    low = val.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: '{val}'")
+
+
+def _parse_int3(val: str) -> tuple[int, int, int]:
+    parts = [int(p) for p in val.split(",")]
+    if len(parts) != 3:
+        raise ValueError("need three comma-separated integers")
+    return tuple(parts)
+
+
+def _parse_alpha(val: str) -> tuple[float, ...] | None:
+    if val.lower() == "none":
+        return None
+    return tuple(float(p) for p in val.split(","))
+
+
+# value parser per field annotation (the config modules postpone
+# annotations, so each is the source text of the declared type)
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[int, int, int]": _parse_int3,
+            "tuple[float, ...] | None": _parse_alpha}
+_KEYS = {"preset": _parse_preset}
+_KEYS.update((f.name, _PARSERS[f.type])
+             for cls in (NetworkConfig, TrainConfig, LossConfig)
+             for f in dataclasses.fields(cls))
 
 
 def _parse_kv(text: str, path: str) -> dict[str, tuple[str, int]]:
@@ -140,25 +120,22 @@ def load_run_config(path: str | None
 
     cooked: dict[str, object] = {}
     for key, (val, line) in raw.items():
-        spec = _NETWORK_KEYS.get(key) or _TRAIN_KEYS.get(key) \
-            or _LOSS_KEYS.get(key)
-        if spec is None:
+        parse = _KEYS.get(key)
+        if parse is None:
             raise UsageError(f"{path}:{line}: unknown key '{key}'")
         try:
-            cooked[key] = _convert(spec, val)
+            cooked[key] = parse(val)
         except ValueError as e:
             raise UsageError(f"{path}:{line}: key '{key}': {e}") from None
 
-    net_cfg = _PRESETS[cooked.pop("preset", "reference")]()
+    bases = (_PRESETS[cooked.pop("preset", "reference")](), TrainConfig(),
+             LossConfig())
     try:
-        net_cfg = replace(net_cfg, **{k: v for k, v in cooked.items()
-                                      if k in _NETWORK_KEYS})
-        train_cfg = replace(TrainConfig(), **{k: v for k, v in cooked.items()
-                                              if k in _TRAIN_KEYS})
-        loss_over = {k: v for k, v in cooked.items() if k in _LOSS_KEYS}
-        if "aux_weight" in cooked:
-            loss_over["aux_weight"] = cooked["aux_weight"]
-        loss_cfg = replace(LossConfig(), **loss_over)
+        net_cfg, train_cfg, loss_cfg = [
+            replace(base, **{f.name: cooked[f.name]
+                             for f in dataclasses.fields(base)
+                             if f.name in cooked})
+            for base in bases]
     except ValueError as e:
         raise UsageError(f"{path}: {e}") from None
     return net_cfg, train_cfg, loss_cfg

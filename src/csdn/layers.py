@@ -417,12 +417,6 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def __setattr__(self, name, value):
-        if name == "bias" and value is None:
-            object.__setattr__(self, name, value)
-            return
-        super().__setattr__(name, value)
-
     def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding,
                       self.groups)

@@ -75,16 +75,6 @@ class NetworkConfig:
                              aux_channels=24)
 
 
-# Flattened (name, kind) serialization order for the binary config block.
-CONFIG_FIELDS: tuple[tuple[str, str], ...] = (
-    ("in_frames", "i"), ("num_classes", "i"), ("downsample_r", "i"),
-    ("shallow_channels", "i3"), ("stem_channels", "i"),
-    ("ge_stage_channels", "i3"), ("ge_expansion", "i"), ("ge_layers", "i3"),
-    ("fusion_channels", "i"), ("head_channels", "i"), ("aux_channels", "i"),
-    ("aux_weight", "f"),
-)
-
-
 @dataclass
 class CsdnOutput:
     main_logits: Tensor
@@ -102,12 +92,6 @@ class ConvBNAct(Module):
                            bias=False, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(out_c, dtype=dtype)
         self.act = PReLU(out_c, dtype=dtype) if act else None
-
-    def __setattr__(self, name, value):
-        if name == "act" and value is None:
-            object.__setattr__(self, name, value)
-            return
-        super().__setattr__(name, value)
 
     def __call__(self, x):
         y = self.bn(self.conv(x))
@@ -337,12 +321,6 @@ class CSDN(Module):
         self.aux_heads = ModuleList([
             AuxHead(c, config.aux_channels, config.num_classes, rng, dtype)
             for c in tap_c])
-
-    def __setattr__(self, name, value):
-        if name in ("detail_proj", "semantic_proj") and value is None:
-            object.__setattr__(self, name, value)
-            return
-        super().__setattr__(name, value)
 
     def downsample(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape

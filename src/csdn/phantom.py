@@ -235,10 +235,15 @@ def apply_affine_image(img: np.ndarray, draw: AffineDraw, order: int,
 def augment(sample: Sample, seed: int, cfg: AugmentConfig) -> Sample:
     size = sample.label.shape[0]
     draw = draw_augment(seed, cfg, size)
-    frames = np.stack([
-        apply_affine_image(f.astype(np.float64), draw, order=1, cval=0.0)
-        for f in sample.frames]).astype(np.float32)
-    label = apply_affine_image(sample.label, draw, order=0, cval=0)
+    if np.array_equal(draw.matrix, np.eye(2)) and not draw.offset.any():
+        # the identity warp (every augment=mild draw) would only copy
+        frames = sample.frames.astype(np.float32)
+        label = sample.label.copy()
+    else:
+        frames = np.stack([
+            apply_affine_image(f.astype(np.float64), draw, order=1, cval=0.0)
+            for f in sample.frames]).astype(np.float32)
+        label = apply_affine_image(sample.label, draw, order=0, cval=0)
     if draw.flip_lr:
         frames = frames[:, :, ::-1]
         label = label[:, ::-1]

@@ -1,23 +1,32 @@
 """Binary weight-file and checkpoint formats.
 
-Weight file: magic "CSDN", format version u16, the network config as a
-fixed-order little-endian block, then one record per tensor (learnable
-parameters and normalization running stats alike, the latter flagged
-non-learnable). Records are sorted by name so files are reproducible.
+Weight file: magic "CSDN", format version u16, the network config block,
+then one record per tensor (learnable parameters and normalization running
+stats alike, the latter flagged non-learnable). Records are sorted by name
+so files are reproducible.
+
+The config block is the ``NetworkConfig`` fields in declaration order,
+little-endian: i32 for an int, three i32 for an int triple, f64 for a
+float. Adding, removing, reordering or retyping a field therefore changes
+the format and needs a ``VERSION`` bump.
 
 Checkpoint: a weight file, then a has-optimizer byte, the optimizer
 moments in the same record encoding, and a fixed-size trailer (epoch,
 global step, master seed, best validation score).
+
+Every read is bounds-checked; a short file raises ``FormatError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 import struct
 
 import numpy as np
 
-from .autodiff import Tensor
-from .model import CONFIG_FIELDS, CSDN, NetworkConfig
+from .model import CSDN, NetworkConfig
 
 MAGIC = b"CSDN"
 VERSION = 1
@@ -25,39 +34,55 @@ VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
+# struct code per NetworkConfig field annotation
+_FIELD_CODES = {"int": "i", "tuple[int, int, int]": "3i", "float": "d"}
+_CONFIG = struct.Struct("<" + "".join(
+    _FIELD_CODES[f.type] for f in dataclasses.fields(NetworkConfig)))
+
 
 class FormatError(ValueError):
     pass
 
 
+class _Reader:
+    """Sequential reads from a byte buffer, each one bounds-checked."""
+
+    def __init__(self, buf: memoryview):
+        self.buf = buf
+        self.off = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.off + n > len(self.buf):
+            raise FormatError(f"truncated {what}")
+        self.off += n
+        return self.buf[self.off - n:self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
+def _open(path: str) -> _Reader:
+    with open(path, "rb") as fh:
+        return _Reader(memoryview(fh.read()))
+
+
 def _pack_config(cfg: NetworkConfig) -> bytes:
-    out = b""
-    for name, kind in CONFIG_FIELDS:
-        v = getattr(cfg, name)
-        if kind == "i":
-            out += struct.pack("<i", v)
-        elif kind == "i3":
-            out += struct.pack("<3i", *v)
-        elif kind == "f":
-            out += struct.pack("<d", v)
+    vals = []
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        vals.extend(v if isinstance(v, tuple) else (v,))
+    return _CONFIG.pack(*vals)
+
+
+def _read_config(r: _Reader) -> NetworkConfig:
+    vals = iter(r.unpack(_CONFIG.format, "config block"))
+    kw = {}
+    for f in dataclasses.fields(NetworkConfig):
+        if _FIELD_CODES[f.type] == "3i":
+            kw[f.name] = tuple(itertools.islice(vals, 3))
         else:
-            raise AssertionError(kind)
-    return out
-
-
-def _unpack_config(buf: memoryview, off: int) -> tuple[NetworkConfig, int]:
-    vals = {}
-    for name, kind in CONFIG_FIELDS:
-        if kind == "i":
-            vals[name], = struct.unpack_from("<i", buf, off)
-            off += 4
-        elif kind == "i3":
-            vals[name] = tuple(struct.unpack_from("<3i", buf, off))
-            off += 12
-        elif kind == "f":
-            vals[name], = struct.unpack_from("<d", buf, off)
-            off += 8
-    return NetworkConfig(**vals), off
+            kw[f.name] = next(vals)
+    return NetworkConfig(**kw)
 
 
 def _pack_record(name: str, arr: np.ndarray, learnable: bool) -> bytes:
@@ -72,28 +97,18 @@ def _pack_record(name: str, arr: np.ndarray, learnable: bool) -> bytes:
     return head + little.tobytes()
 
 
-def _unpack_record(buf: memoryview, off: int):
-    if off + 2 > len(buf):
-        raise FormatError("truncated record header")
-    nlen, = struct.unpack_from("<H", buf, off)
-    off += 2
-    name = bytes(buf[off:off + nlen]).decode("utf-8")
-    off += nlen
-    tag, learnable, rank = struct.unpack_from("<BBB", buf, off)
-    off += 3
+def _read_record(r: _Reader):
+    nlen, = r.unpack("<H", "record header")
+    name = bytes(r.take(nlen, "record name")).decode("utf-8")
+    tag, learnable, rank = r.unpack("<BBB", f"record header of {name!r}")
     if tag not in _TAG_DTYPES:
         raise FormatError(f"{name}: unknown dtype tag {tag}")
-    dims = struct.unpack_from(f"<{rank}I", buf, off)
-    off += 4 * rank
+    dims = r.unpack(f"<{rank}I", f"shape of {name!r}")
     dtype = _TAG_DTYPES[tag]
-    count = int(np.prod(dims)) if rank else 1
-    nbytes = count * dtype.itemsize
-    if off + nbytes > len(buf):
-        raise FormatError(f"{name}: truncated tensor data")
-    arr = np.frombuffer(buf, dtype=dtype.newbyteorder("<"), count=count,
-                        offset=off).astype(dtype).reshape(dims)
-    off += nbytes
-    return name, arr, bool(learnable), off
+    data = r.take(math.prod(dims) * dtype.itemsize,
+                  f"tensor data of {name!r}")
+    arr = np.frombuffer(data, dtype=dtype.newbyteorder("<")).astype(dtype)
+    return name, arr.reshape(dims), bool(learnable)
 
 
 def _net_records(net: CSDN):
@@ -118,26 +133,25 @@ def save_weights(path: str, net: CSDN):
         fh.write(weights_bytes(net))
 
 
-def _read_weights(buf: memoryview):
-    if bytes(buf[:4]) != MAGIC:
+def _read_weights(r: _Reader) -> CSDN:
+    if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad magic; not a CSDN weight file")
-    version, = struct.unpack_from("<H", buf, 4)
+    version, = r.unpack("<H", "format version")
     if version != VERSION:
         raise FormatError(f"unsupported format version {version}")
-    cfg, off = _unpack_config(buf, 6)
-    n_records, = struct.unpack_from("<I", buf, off)
-    off += 4
+    cfg = _read_config(r)
+    n_records, = r.unpack("<I", "record count")
     records = {}
     dtype = np.dtype(np.float32)
     for _ in range(n_records):
-        name, arr, learnable, off = _unpack_record(buf, off)
-        records[name] = (arr, learnable)
+        name, arr, learnable = _read_record(r)
+        records[name] = arr
         if learnable:
             dtype = arr.dtype
     net = CSDN(cfg, seed=0, dtype=dtype)
     known = dict(net.named_parameters())
     known.update(net.named_buffers())
-    for name, (arr, _learnable) in records.items():
+    for name, arr in records.items():
         if name not in known:
             raise FormatError(f"unknown parameter name {name!r} in file")
         t = known[name]
@@ -148,14 +162,11 @@ def _read_weights(buf: memoryview):
     missing = sorted(set(known) - set(records))
     if missing:
         raise FormatError(f"weight file is missing tensors: {missing[:3]}")
-    return net, off
+    return net
 
 
 def load_weights(path: str) -> CSDN:
-    with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    net, _off = _read_weights(buf)
-    return net
+    return _read_weights(_open(path))
 
 
 def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
@@ -163,10 +174,8 @@ def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
                     best_val_dsc: float):
     parts = [weights_bytes(net)]
     if opt is not None:
-        parts.append(struct.pack("<B", 1))
-        parts.append(struct.pack("<Q", opt.step_count))
         names = sorted(opt.m)
-        parts.append(struct.pack("<I", len(names)))
+        parts.append(struct.pack("<BQI", 1, opt.step_count, len(names)))
         for name in names:
             parts.append(_pack_record("m:" + name, opt.m[name], True))
             parts.append(_pack_record("v:" + name, opt.v[name], True))
@@ -181,28 +190,21 @@ def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
 def load_checkpoint(path: str):
     """Returns (net, opt_state | None, trailer dict). opt_state holds
     step count plus m/v arrays keyed by parameter name."""
-    with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
-    net, off = _read_weights(buf)
-    has_opt, = struct.unpack_from("<B", buf, off)
-    off += 1
+    r = _open(path)
+    net = _read_weights(r)
+    has_opt, = r.unpack("<B", "optimizer flag")
     opt_state = None
     if has_opt:
-        step, = struct.unpack_from("<Q", buf, off)
-        off += 8
-        n_pairs, = struct.unpack_from("<I", buf, off)
-        off += 4
+        step, n_pairs = r.unpack("<QI", "optimizer header")
         m, v = {}, {}
         for _ in range(n_pairs):
-            name, arr, _l, off = _unpack_record(buf, off)
+            name, arr, _l = _read_record(r)
             m[name.removeprefix("m:")] = arr
-            name, arr, _l, off = _unpack_record(buf, off)
+            name, arr, _l = _read_record(r)
             v[name.removeprefix("v:")] = arr
         opt_state = {"step": step, "m": m, "v": v}
-    if off + 28 > len(buf):
-        raise FormatError("truncated checkpoint trailer")
-    epoch, global_step, master_seed, best = struct.unpack_from("<IQQd", buf,
-                                                               off)
+    epoch, global_step, master_seed, best = r.unpack("<IQQd",
+                                                     "checkpoint trailer")
     trailer = {"epoch": epoch, "global_step": global_step,
                "master_seed": master_seed, "best_val_dsc": best}
     return net, opt_state, trailer

@@ -42,7 +42,7 @@ class TrainConfig:
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
         if self.augment not in ("full", "mild", "none"):
-            raise ValueError(f"unknown augment mode {self.augment!r}")
+            raise ValueError("augment must be one of full, mild, none")
 
     def augment_cfg(self) -> AugmentConfig | None:
         if self.augment == "full":

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from csdn.autodiff import (AutodiffError, Module, ModuleList, ParameterStore,
-                           Tensor, add, backward, elementwise,
-                           finite_diff_check, mul, no_grad, record, reduce_sum,
-                           scale, sub)
+                           Tensor, add, backward, finite_diff_check, mul,
+                           no_grad, record, reduce_sum, scale, sub)
 
 
 def rand(rng, *shape, grad=False, dtype=np.float64):
@@ -169,14 +168,6 @@ def test_non_finite_forward_raises():
             mul(big, big)  # overflows to inf
         with pytest.raises(AutodiffError, match="non-finite"):
             scale(big, 1e10)
-
-
-def test_elementwise_dispatch():
-    a = Tensor.ones((1, 1, 2, 2))
-    b = Tensor.ones((1, 1, 2, 2))
-    assert np.array_equal(elementwise("sub", a, b).data, np.zeros((1, 1, 2, 2)))
-    with pytest.raises(AutodiffError, match="unknown elementwise op"):
-        elementwise("div", a, b)
 
 
 def test_backward_with_store_returns_named_grads():

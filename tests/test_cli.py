@@ -262,6 +262,15 @@ def test_bench_micro(micro_weights, capsys):
     assert "fps:" in out and "params:" in out
 
 
+def test_bench_truncated_weights(micro_weights, tmp_path, capsys):
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(micro_weights.read_bytes()[:60])
+    rc = main(["bench", "--weights", str(cut), "--size", "64"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: truncated")
+
+
 def test_gradcheck_refuses_reference(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = reference\n")
     rc = main(["gradcheck", "--config", cfg])

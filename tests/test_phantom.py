@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from csdn.phantom import (DEFAULT_SPACING_MM, AugmentConfig, Dataset, Ellipse,
-                          augment, batches, draw_augment, generate_dataset,
-                          generate_phantom, load_manifest, load_sample,
-                          rasterize_label, read_pgm, save_dataset, save_sample,
-                          write_pgm)
+                          apply_affine_image, augment, batches, draw_augment,
+                          generate_dataset, generate_phantom, load_manifest,
+                          load_sample, rasterize_label, read_pgm, save_dataset,
+                          save_sample, write_pgm)
 
 
 def test_spacing_constant():
@@ -300,3 +300,19 @@ def test_mild_augment_never_warps():
                 for sw in (False, True):
                     variants.append(g[[2, 1, 0]] if sw else g)
         assert any(np.array_equal(out.frames, v) for v in variants)
+
+
+def test_identity_warp_returns_input():
+    # augment skips the warp on identity draws; run on those draws, the
+    # warp it skips returns its input bit for bit
+    s = generate_phantom(78, 64)
+    for seed in range(40):
+        draw = draw_augment(seed, AugmentConfig.mild(), 64)
+        assert np.array_equal(draw.matrix, np.eye(2))
+        assert not draw.offset.any()
+        warped = np.stack([
+            apply_affine_image(f.astype(np.float64), draw, order=1, cval=0.0)
+            for f in s.frames]).astype(np.float32)
+        assert np.array_equal(warped, s.frames)
+        assert np.array_equal(
+            apply_affine_image(s.label, draw, order=0, cval=0), s.label)

@@ -1,6 +1,7 @@
 """Weight-file and checkpoint codec: byte-stable round trips, trailing-data
 tolerance, corruption detection."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -154,3 +155,52 @@ def test_checkpoint_truncated_trailer(tmp_path):
         fh.write(blob[:-4])
     with pytest.raises(FormatError, match="trailer"):
         load_checkpoint(p)
+
+
+# sha256 of a fresh micro net's weight file and of its checkpoint with a
+# fresh Adam; a NetworkConfig field change that moves the layout without a
+# VERSION bump shows here
+MICRO_WEIGHTS_SHA256 = \
+    "e46dbcef2e25fc581d30752047c4ab2e3ca83df15f6a844b86ff67de503dbc6a"
+MICRO_CKPT_SHA256 = \
+    "d5a5fd4b3eed8ef9531de64d39333f1d5e842da51c7a9386f86476c13d507f98"
+
+
+def save_micro_checkpoint(path):
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    save_checkpoint(path, net, Adam(net.parameter_store()), epoch=1,
+                    global_step=2, master_seed=3, best_val_dsc=0.5)
+    return net
+
+
+def test_format_bytes_pinned(tmp_path):
+    p = tmp_path / "micro.ckpt"
+    net = save_micro_checkpoint(str(p))
+    assert hashlib.sha256(weights_bytes(net)).hexdigest() == \
+        MICRO_WEIGHTS_SHA256
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == MICRO_CKPT_SHA256
+
+
+def prefix_cuts(size, marks):
+    """Every cut in the first 256 bytes (header, config block, first
+    records) and within 64 bytes of each mark, plus every 397th cut."""
+    cuts = set(range(0, min(size, 256))) | set(range(0, size, 397))
+    for m in marks:
+        cuts |= set(range(max(0, m - 64), min(size, m + 64)))
+    return sorted(cuts)
+
+
+def test_truncated_files_raise_format_error(tmp_path):
+    full = tmp_path / "micro.ckpt"
+    net = save_micro_checkpoint(str(full))
+    weights = weights_bytes(net)
+    ckpt = full.read_bytes()
+    cut = str(tmp_path / "cut.bin")
+    for blob, load, marks in ((weights, load_weights, [len(weights)]),
+                              (ckpt, load_checkpoint,
+                               [len(weights), len(ckpt)])):
+        for n in prefix_cuts(len(blob), marks):
+            with open(cut, "wb") as fh:
+                fh.write(blob[:n])
+            with pytest.raises(FormatError, match="truncated"):
+                load(cut)
