@@ -32,6 +32,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record graph nodes (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 class AutodiffError(RuntimeError):
     pass
 

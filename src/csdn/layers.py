@@ -1,11 +1,13 @@
 """Differentiable layer kernels on the rank-4 tensor type.
 
-Convolution runs as im2col + GEMM (depthwise as an einsum contraction),
-pooling as a k*k strided-slice sweep, and resize as cached per-axis
-interpolation matrices applied with broadcast matmul so the backward pass
-is the transposed product. Convolution is cross-correlation; padding is
-zeros (max pooling pads with -inf and average pooling counts only
-in-bounds elements).
+Dense convolution runs as a channel-major im2col (one strided copy per
+kernel tap) and one GEMM per image whose output is already NCHW; depthwise
+convolution and pooling run as k*k strided-slice sweeps. Resize applies
+cached per-axis interpolation matrices with broadcast matmul, so the
+backward pass is the transposed product; the exact half-size bicubic of
+the network's front end runs forward as its fixed 4-tap filter instead.
+Convolution is cross-correlation; padding is zeros (max pooling pads with
+-inf and average pooling counts only in-bounds elements).
 """
 
 from __future__ import annotations
@@ -33,13 +35,6 @@ def _out_size(n: int, k: int, s: int, p: int) -> int:
     return o
 
 
-def _windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-             oh: int, ow: int) -> np.ndarray:
-    """Sliding (kh, kw) windows of a padded map, strided: (n, c, oh, ow, kh, kw)."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::sh, ::sw][:, :, :oh, :ow]
-
-
 def _grad_canvas(g: np.ndarray, kh, kw, sh, sw, ph, pw, h, w) -> np.ndarray:
     """Stride-dilate the output gradient and zero-pad it so a stride-1
     correlation with the flipped kernel yields the input gradient.
@@ -61,14 +56,42 @@ def _grad_canvas(g: np.ndarray, kh, kw, sh, sw, ph, pw, h, w) -> np.ndarray:
     return canvas
 
 
+def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow):
+    """(i, j, view) per kernel tap: the (n, c, oh, ow) strided slice of a
+    padded map that tap (i, j) reads."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+
+
 def _conv_dense_fwd(xp, w, sh, sw, oh, ow):
-    n = xp.shape[0]
-    c_out, c_in, kh, kw = w.shape
-    win = _windows(xp, kh, kw, sh, sw, oh, ow)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * oh * ow, c_in * kh * kw)
-    out = cols @ w.reshape(c_out, -1).T
-    return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), cols
+    """Dense correlation as one GEMM per image over channel-major columns.
+
+    cols is (n, c*kh*kw, oh*ow), filled with one strided copy per tap, so
+    w.reshape(c_out, -1) @ cols is already NCHW.
+    """
+    n, c = xp.shape[:2]
+    c_out, _, kh, kw = w.shape
+    if (kh, kw, sh, sw) == (1, 1, 1, 1):
+        cols = xp.reshape(n, c, oh * ow)
+    else:
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+        for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
+            cols[:, :, i, j] = tap
+        cols = cols.reshape(n, c * kh * kw, oh * ow)
+    out = np.matmul(w.reshape(c_out, -1), cols)
+    return out.reshape(n, c_out, oh, ow), cols
+
+
+def _conv_depthwise_fwd(xp, w, sh, sw, oh, ow):
+    """Depthwise correlation as k*k shifted multiply-accumulates:
+    sum over taps (i, j) of xp[:, :, i::sh, j::sw] * w[:, i, j], w (c, kh, kw)."""
+    c, kh, kw = w.shape
+    out = np.zeros((xp.shape[0], c, oh, ow), dtype=np.result_type(xp, w))
+    tmp = np.empty_like(out)
+    for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
+        out += np.multiply(tap, w[:, i, j].reshape(1, c, 1, 1), out=tmp)
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -91,42 +114,40 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     oh = _out_size(h, kh, sh, ph)
     ow = _out_size(w, kw, sw, pw)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = x.data
+    if ph or pw:
+        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    w_data = weight.data
     if depthwise:
-        win = _windows(xp, kh, kw, sh, sw, oh, ow)
-        out_data = np.einsum("nchwij,cij->nchw", win, weight.data[:, 0],
-                             optimize=True)
+        out_data = _conv_depthwise_fwd(xp, w_data[:, 0], sh, sw, oh, ow)
         cols = None
     else:
-        out_data, cols = _conv_dense_fwd(xp, weight.data, sh, sw, oh, ow)
+        out_data, cols = _conv_dense_fwd(xp, w_data, sh, sw, oh, ow)
     if bias is not None:
-        out_data = out_data + bias.data
-    out = Tensor(np.ascontiguousarray(out_data))
-
-    w_data = weight.data
+        out_data += bias.data
+    out = Tensor(out_data)
     has_bias = bias is not None
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        gb = g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1) if has_bias else None
+        canvas = _grad_canvas(g, kh, kw, sh, sw, ph, pw, h, w)
         if depthwise:
-            win_b = _windows(xp, kh, kw, sh, sw, oh, ow)
-            gw = np.einsum("nchwij,nchw->cij", win_b, g,
-                           optimize=True)[:, None, :, :]
-            canvas = _grad_canvas(g, kh, kw, sh, sw, ph, pw, h, w)
-            cwin = _windows(canvas, kh, kw, 1, 1, h, w)
-            wf = w_data[:, 0, ::-1, ::-1]
-            gx = np.einsum("nchwij,cij->nchw", cwin, wf, optimize=True)
+            gw = np.empty_like(w_data)
+            tmp = np.empty_like(g)
+            for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
+                gw[:, 0, i, j] = np.multiply(g, tap, out=tmp).sum(axis=(0, 2, 3))
+            gx = _conv_depthwise_fwd(canvas, w_data[:, 0, ::-1, ::-1],
+                                     1, 1, h, w)
         else:
-            gm = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-            gw = (gm.T @ cols).reshape(w_data.shape)
-            canvas = _grad_canvas(g, kh, kw, sh, sw, ph, pw, h, w)
+            gm = g.reshape(n, c_out, oh * ow)
+            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
+                w_data.shape)
             wt = np.ascontiguousarray(
                 w_data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
             gx, _ = _conv_dense_fwd(canvas, wt, 1, 1, h, w)
-        grads = [np.ascontiguousarray(gx), gw]
+        grads = [gx, gw]
         if has_bias:
-            grads.append(gb)
+            grads.append(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
         return grads
 
     inputs = [x, weight] + ([bias] if has_bias else [])
@@ -277,15 +298,50 @@ def _resize_matrix(src: int, dst: int, mode: str) -> np.ndarray:
     return mat
 
 
+# _cubic_weight at distances 1.5 and 0.5: the taps of a half-size resize.
+_HALF_OUTER, _HALF_INNER = -0.09375, 0.59375
+
+
+def _half_bicubic(x: np.ndarray, axis: int) -> np.ndarray:
+    """Bicubic resize of an even axis to half its length, as its 4-tap
+    filter: out[i] = 0.59375 (x[2i] + x[2i+1]) - 0.09375 (x[2i-1] + x[2i+2])
+    with the edge taps clamped. The same linear map as
+    ``_resize_matrix(2d, d, "bicubic")``, without building it."""
+    def at(start, stop=None, step=None):
+        idx = [slice(None)] * x.ndim
+        idx[axis] = slice(start, stop, step)
+        return tuple(idx)
+
+    out = np.add(x[at(0, None, 2)], x[at(1, None, 2)])
+    out *= _HALF_INNER
+    outer = np.empty_like(out)
+    outer[at(1)] = x[at(1, -2, 2)]
+    outer[at(0, 1)] = x[at(0, 1)]
+    outer[at(None, -1)] += x[at(2, None, 2)]
+    outer[at(-1)] += x[at(-1)]
+    outer *= _HALF_OUTER
+    out += outer
+    return out
+
+
 def resize(x: Tensor, out_h: int, out_w: int, mode: str = "bilinear") -> Tensor:
+    """Separable resize by per-axis interpolation matrices; an exact
+    half-size bicubic runs as its 4-tap filter. The backward is always the
+    transposed matrix product, the adjoint of either forward."""
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resize target {out_h}x{out_w} < 1")
     n, c, h, w = x.shape
-    ah = _resize_matrix(h, out_h, mode).astype(x.dtype)
-    aw = _resize_matrix(w, out_w, mode).astype(x.dtype)
-    out = Tensor(np.matmul(np.matmul(ah, x.data), aw.T))
+    if mode == "bicubic" and (h, w) == (2 * out_h, 2 * out_w):
+        y = _half_bicubic(_half_bicubic(x.data, 2), 3)
+    else:
+        ah = _resize_matrix(h, out_h, mode).astype(x.dtype)
+        aw = _resize_matrix(w, out_w, mode).astype(x.dtype)
+        y = np.matmul(np.matmul(ah, x.data), aw.T)
+    out = Tensor(y)
 
     def bwd(g):
+        ah = _resize_matrix(h, out_h, mode).astype(g.dtype)
+        aw = _resize_matrix(w, out_w, mode).astype(g.dtype)
         return (np.ascontiguousarray(np.matmul(np.matmul(ah.T, g), aw)),)
 
     return record(out, [x], bwd, "resize_" + mode)
@@ -448,13 +504,23 @@ class BatchNorm2d(Module):
             rv *= 1.0 - m
             rv += m * var.astype(rv.dtype)
             return y
-        if (self.running_var.data <= 0).any():
-            raise AutodiffError("batchnorm running_var must stay positive")
+        self._check_running_var()
         return batchnorm2d_infer(x, self.gamma, self.beta,
                                  self.running_mean.data,
                                  self.running_var.data, self.eps)
 
     __call__ = forward
+
+    def _check_running_var(self):
+        if (self.running_var.data <= 0).any():
+            raise AutodiffError("batchnorm running_var must stay positive")
+
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift), each (1, c, 1, 1): the eval-mode map is
+        scale * x + shift, so a conv before it can absorb both."""
+        self._check_running_var()
+        scale = self.gamma.data / np.sqrt(self.running_var.data + self.eps)
+        return scale, self.beta.data - self.running_mean.data * scale
 
 
 class PReLU(Module):

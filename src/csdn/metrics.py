@@ -135,6 +135,17 @@ def sample_metrics(pred_label: np.ndarray, true_label: np.ndarray,
     return out
 
 
+def label_map(logits: np.ndarray) -> np.ndarray:
+    """``logits.argmax(axis=0)`` of finite (C, H, W) logits as uint8, by a
+    running max over the class planes; a tie keeps the first class."""
+    best = logits[0]
+    label = np.zeros(best.shape, dtype=np.uint8)
+    for k in range(1, len(logits)):
+        np.copyto(label, k, where=logits[k] > best)
+        best = np.maximum(best, logits[k])
+    return label
+
+
 def predict_label(model, frames: np.ndarray) -> np.ndarray:
     """Argmax class map of an eval-mode forward on one (3, H, W) stack."""
     was_training = model.training
@@ -142,7 +153,7 @@ def predict_label(model, frames: np.ndarray) -> np.ndarray:
     try:
         with no_grad():
             out = model(Tensor(frames[None].astype(model.dtype)))
-        return out.main_logits.data[0].argmax(axis=0).astype(np.uint8)
+        return label_map(out.main_logits.data[0])
     finally:
         if was_training:
             model.train()

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Module, ModuleList, Tensor, add, mul
+from . import layers
+from .autodiff import Module, ModuleList, Tensor, add, grad_enabled, mul
 from .layers import (BatchNorm2d, Conv2d, PReLU, concat_channels,
                      global_avg_pool, pixel_shuffle, pixel_unshuffle, pool2d,
                      resize, sigmoid)
@@ -83,7 +84,13 @@ class CsdnOutput:
 
 class ConvBNAct(Module):
     """conv -> batch norm -> optional PReLU. Conv carries no bias (the BN
-    shift absorbs it)."""
+    shift absorbs it).
+
+    An eval-mode forward that records no graph folds the BN into the conv:
+    one conv with weight * scale and bias shift, where (scale, shift) is
+    the BN's eval affine map, recomputed on every call so nothing goes
+    stale. With recording on, conv and BN run apart and stay the oracle.
+    """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, padding=1, groups=1,
                  act=True, rng=None, dtype=np.float32):
@@ -94,7 +101,16 @@ class ConvBNAct(Module):
         self.act = PReLU(out_c, dtype=dtype) if act else None
 
     def __call__(self, x):
-        y = self.bn(self.conv(x))
+        if self.training or grad_enabled():
+            y = self.bn(self.conv(x))
+        else:
+            scale, shift = self.bn.eval_affine()
+            conv = self.conv
+            weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
+            # layers.conv2d is looked up at call time, as in Conv2d.forward,
+            # so a wrapper installed on it sees the folded convs too.
+            y = layers.conv2d(x, Tensor(weight), Tensor(shift), conv.stride,
+                              conv.padding, conv.groups)
         return self.act(y) if self.act is not None else y
 
 

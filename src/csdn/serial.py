@@ -14,14 +14,18 @@ Checkpoint: a weight file, then a has-optimizer byte, the optimizer
 moments in the same record encoding, and a fixed-size trailer (epoch,
 global step, master seed, best validation score).
 
-Every read is bounds-checked; a short file raises ``FormatError``.
+Every read is bounds-checked; a short file raises ``FormatError``. Both
+kinds of file are written to a temp file beside the target and renamed
+onto it, so a crash mid-write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import os
 import struct
 
 import numpy as np
@@ -128,12 +132,28 @@ def weights_bytes(net: CSDN) -> bytes:
     return b"".join(parts)
 
 
+def _write_atomic(path: str, data: bytes):
+    """Write to a temp file beside ``path``, then rename it onto ``path``:
+    a reader sees the old file or the new one, never a torn one. On any
+    failure the temp file is removed and ``path`` is untouched."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_weights(path: str, net: CSDN):
-    with open(path, "wb") as fh:
-        fh.write(weights_bytes(net))
+    _write_atomic(path, weights_bytes(net))
 
 
-def _read_weights(r: _Reader) -> CSDN:
+def _read_records(r: _Reader):
+    """Parse a weight block: (config, {name: array}, parameter dtype)."""
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad magic; not a CSDN weight file")
     version, = r.unpack("<H", "format version")
@@ -148,6 +168,10 @@ def _read_weights(r: _Reader) -> CSDN:
         records[name] = arr
         if learnable:
             dtype = arr.dtype
+    return cfg, records, dtype
+
+
+def _build_net(cfg: NetworkConfig, records: dict, dtype) -> CSDN:
     net = CSDN(cfg, seed=0, dtype=dtype)
     known = dict(net.named_parameters())
     known.update(net.named_buffers())
@@ -166,7 +190,7 @@ def _read_weights(r: _Reader) -> CSDN:
 
 
 def load_weights(path: str) -> CSDN:
-    return _read_weights(_open(path))
+    return _build_net(*_read_records(_open(path)))
 
 
 def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
@@ -183,15 +207,15 @@ def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
         parts.append(struct.pack("<B", 0))
     parts.append(struct.pack("<IQQd", epoch, global_step, master_seed,
                              best_val_dsc))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    _write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str):
     """Returns (net, opt_state | None, trailer dict). opt_state holds
-    step count plus m/v arrays keyed by parameter name."""
+    step count plus m/v arrays keyed by parameter name. The whole file is
+    parsed before the network is built, so a short file fails cheaply."""
     r = _open(path)
-    net = _read_weights(r)
+    weights = _read_records(r)
     has_opt, = r.unpack("<B", "optimizer flag")
     opt_state = None
     if has_opt:
@@ -207,4 +231,4 @@ def load_checkpoint(path: str):
                                                      "checkpoint trailer")
     trailer = {"epoch": epoch, "global_step": global_step,
                "master_seed": master_seed, "best_val_dsc": best}
-    return net, opt_state, trailer
+    return _build_net(*weights), opt_state, trailer

@@ -7,9 +7,10 @@ from scipy.signal import correlate2d
 
 from csdn.autodiff import AutodiffError, Tensor, backward, reduce_sum
 from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _batchnorm_train,
-                         _out_size, batchnorm2d_infer, concat_channels,
-                         conv2d, global_avg_pool, he_uniform, pixel_shuffle,
-                         pixel_unshuffle, pool2d, prelu, resize, sigmoid)
+                         _out_size, _resize_matrix, batchnorm2d_infer,
+                         concat_channels, conv2d, global_avg_pool, he_uniform,
+                         pixel_shuffle, pixel_unshuffle, pool2d, prelu,
+                         resize, sigmoid)
 
 F64 = np.float64
 
@@ -112,6 +113,57 @@ def test_conv2d_input_gradient_strided():
                         if 0 <= iy < 6 and 0 <= ix < 6:
                             want[0, :, iy, ix] += w.data[o, :, ky, kx]
     assert np.allclose(x.grad, want, atol=1e-12)
+
+
+def direct_conv(x, w, stride, padding, depthwise):
+    # float64 loop over output pixels, one window dot product each
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kh, kw = w.shape[2:]
+    oh = _out_size(x.shape[2], kh, stride, padding)
+    ow = _out_size(x.shape[3], kw, stride, padding)
+    out = np.zeros((x.shape[0], w.shape[0], oh, ow))
+    for oy in range(oh):
+        for ox in range(ow):
+            win = xp[:, :, oy * stride:oy * stride + kh,
+                     ox * stride:ox * stride + kw]
+            if depthwise:
+                out[:, :, oy, ox] = (win * w[:, 0]).sum(axis=(2, 3))
+            else:
+                out[:, :, oy, ox] = np.tensordot(win, w,
+                                                 axes=([1, 2, 3], [1, 2, 3]))
+    return out
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_fast_paths_match_direct_loop(depthwise, stride):
+    rng = np.random.Generator(np.random.PCG64(60 + stride))
+    for k, padding in ((3, 1), (3, 0), (1, 0)):
+        x = t(rng, 2, 4, 9, 10)
+        w = t(rng, 4, 1, k, k) if depthwise else t(rng, 5, 4, k, k)
+        got = conv2d(x, w, None, stride=stride, padding=padding,
+                     groups=4 if depthwise else 1)
+        want = direct_conv(x.data, w.data, stride, padding, depthwise)
+        assert got.data.dtype == F64
+        assert np.allclose(got.data, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_backward_is_adjoint(depthwise, stride):
+    # conv is bilinear, so <g, conv(x, w)> = <gx, x> = <gw, w>
+    rng = np.random.Generator(np.random.PCG64(70 + stride))
+    for k, padding in ((3, 1), (1, 0)):
+        x = t(rng, 2, 4, 9, 8, grad=True)
+        w = t(rng, 4, 1, k, k, grad=True) if depthwise \
+            else t(rng, 6, 4, k, k, grad=True)
+        out = conv2d(x, w, None, stride=stride, padding=padding,
+                     groups=4 if depthwise else 1)
+        g = rng.normal(size=out.shape)
+        backward(reduce_sum(out * Tensor(g)))
+        inner = float(np.vdot(g, out.data))
+        assert np.isclose(np.vdot(x.grad, x.data), inner, rtol=1e-12)
+        assert np.isclose(np.vdot(w.grad, w.data), inner, rtol=1e-12)
 
 
 # -- activations --------------------------------------------------------------
@@ -238,6 +290,30 @@ def test_resize_gradient_is_transpose():
     backward(reduce_sum(out))
     # sum over a row-stochastic upsample distributes 4 units per source sample
     assert np.allclose(x.grad.sum(), 64.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("size", [6, 64, 896])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_half_size_bicubic_matches_dense_matrix(size, dtype, tol):
+    rng = np.random.Generator(np.random.PCG64(size))
+    x = Tensor(rng.normal(size=(1, 2, size, size + 2)).astype(dtype))
+    got = resize(x, size // 2, size // 2 + 1, "bicubic").data
+    ah = _resize_matrix(size, size // 2, "bicubic")
+    aw = _resize_matrix(size + 2, size // 2 + 1, "bicubic")
+    want = ah @ x.data.astype(F64) @ aw.T
+    assert got.dtype == dtype
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_half_size_bicubic_backward_is_adjoint():
+    # the 4-tap forward and the matrix backward are one map and its adjoint
+    rng = np.random.Generator(np.random.PCG64(8))
+    x = t(rng, 2, 3, 10, 12, grad=True)
+    out = resize(x, 5, 6, "bicubic")
+    g = rng.normal(size=out.shape)
+    backward(reduce_sum(out * Tensor(g)))
+    assert np.isclose(np.vdot(x.grad, x.data), np.vdot(g, out.data),
+                      rtol=1e-12)
 
 
 # -- pixel shuffle ------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from csdn.autodiff import Tensor
 from csdn.metrics import (MetricsReport, boundary_pixels, dsc, evaluate,
-                          fps_benchmark, hd95, iou, percentile_95,
+                          fps_benchmark, hd95, iou, label_map, percentile_95,
                           predict_label, region_masks, sample_metrics,
                           write_report_csv)
 from csdn.model import CSDN, CsdnOutput, NetworkConfig
@@ -218,6 +218,26 @@ def test_predict_label_argmax_and_flag_restore():
     assert out.dtype == np.uint8
     assert np.all(out == 2)
     assert model.training  # entered training, restored after the eval pass
+
+
+@pytest.mark.parametrize("classes", [1, 2, 3, 5])
+def test_label_map_matches_argmax_with_planted_ties(classes):
+    rng = np.random.Generator(np.random.PCG64(classes))
+    logits = rng.normal(size=(classes, 12, 16)).astype(np.float32)
+    pairs = [(a, b) for a in range(classes) for b in range(a + 1, classes)]
+    for i, (a, b) in enumerate(pairs):
+        # a and b tie for the maximum at one pixel, and below it at the next
+        logits[:, i, 0] = -1.0
+        logits[[a, b], i, 0] = 2.0
+        logits[:, i, 1] = 0.0
+        logits[[a, b], i, 1] = -1.0
+    logits[:, -1, -1] = 0.5  # every class equal
+    got = label_map(logits)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, logits.argmax(axis=0))
+    for i, (a, _b) in enumerate(pairs):
+        assert got[i, 0] == a
+    assert got[-1, -1] == 0
 
 
 def test_evaluate_counts_empty_prediction_samples():

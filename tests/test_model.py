@@ -5,10 +5,13 @@ parameter formulas."""
 import numpy as np
 import pytest
 
-from csdn.autodiff import Tensor
+from csdn import layers
+from csdn.autodiff import AutodiffError, Tensor, no_grad
+from csdn.metrics import label_map
 from csdn.model import (CSDN, AuxHead, ContextBlock, ConvBNAct, FusionBlock,
                         GELayerS1, GELayerS2, NetworkConfig, SegHead,
                         ShallowNet, StemBlock, count_parameters)
+from csdn.phantom import generate_phantom
 
 
 def rng_(seed):
@@ -235,3 +238,78 @@ def test_count_parameters_equals_store_total():
     net = CSDN(cfg, seed=0)
     assert count_parameters(cfg) == sum(
         t.size() for _, t in net.named_parameters())
+
+
+# -- eval-mode BN folding -----------------------------------------------------
+
+
+def randomize_bn(net, seed):
+    rng = rng_(seed)
+    for name, tns in list(net.named_parameters()) + list(net.named_buffers()):
+        shape, dt = tns.shape, tns.dtype
+        if name.endswith("running_mean"):
+            tns.data = rng.normal(0.0, 0.3, shape).astype(dt)
+        elif name.endswith("running_var"):
+            tns.data = rng.uniform(0.3, 3.0, shape).astype(dt)
+        elif name.endswith("gamma"):
+            tns.data = rng.uniform(0.5, 1.5, shape).astype(dt)
+        elif name.endswith("beta"):
+            tns.data = rng.normal(0.0, 0.2, shape).astype(dt)
+    return net
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("preset", ["tiny", "desk"])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+def test_folded_eval_matches_unfolded(preset, dtype, tol):
+    # the no_grad forward folds BN into the conv; with grad on, conv and BN
+    # run apart. Same net, same split, so the folded path has its oracle.
+    net = randomize_bn(CSDN(getattr(NetworkConfig, preset)(), seed=5,
+                            dtype=dtype), 6)
+    net.eval()
+    frames = np.stack([generate_phantom(s, 64).frames for s in range(6)])
+    x = Tensor(frames.astype(dtype))
+    before = {n: tns.data.copy() for n, tns in net.named_parameters()}
+    with no_grad():
+        folded = net(x).main_logits.data
+    unfolded = net(x).main_logits.data
+    assert folded.dtype == dtype
+    assert rel_err(folded, unfolded) <= tol
+    for i in range(len(frames)):
+        assert np.array_equal(label_map(folded[i]), label_map(unfolded[i]))
+    for n, tns in net.named_parameters():  # the fold leaves weights alone
+        assert np.array_equal(tns.data, before[n])
+
+
+def count_ops(monkeypatch, net, x, op):
+    seen = []
+    orig = layers.record
+
+    def counting(out, inputs, backward_fn, name):
+        seen.append(name)
+        return orig(out, inputs, backward_fn, name)
+
+    monkeypatch.setattr(layers, "record", counting)
+    net(x)
+    monkeypatch.setattr(layers, "record", orig)
+    return seen.count(op)
+
+
+def test_no_grad_eval_folds_all_but_the_context_bn(monkeypatch):
+    net = CSDN(NetworkConfig.reference(), seed=0)
+    net.eval()
+    x = x32(rng_(18), 1, 3, 64, 64)
+    with no_grad():
+        assert count_ops(monkeypatch, net, x, "batchnorm_eval") == 1
+    assert count_ops(monkeypatch, net, x, "batchnorm_eval") == 59
+
+
+def test_folded_eval_keeps_running_var_guard():
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    net.eval()
+    net.shallow.blocks[0].down.bn.running_var.data[0, 1] = 0.0
+    with no_grad(), pytest.raises(AutodiffError, match="running_var"):
+        net(x32(rng_(19), 1, 3, 64, 64))

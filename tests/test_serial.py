@@ -2,12 +2,14 @@
 tolerance, corruption detection."""
 
 import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from csdn.autodiff import Tensor
+from csdn import serial
 from csdn.model import CSDN, NetworkConfig
 from csdn.serial import (FormatError, _pack_config, load_checkpoint,
                          load_weights, save_checkpoint, save_weights,
@@ -204,3 +206,77 @@ def test_truncated_files_raise_format_error(tmp_path):
                 fh.write(blob[:n])
             with pytest.raises(FormatError, match="truncated"):
                 load(cut)
+
+
+def test_cut_checkpoint_fails_before_building_a_network(tmp_path,
+                                                        monkeypatch):
+    full = tmp_path / "micro.ckpt"
+    net = save_micro_checkpoint(str(full))
+    ckpt = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    builds = []
+    orig_init = CSDN.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        orig_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CSDN, "__init__", counting_init)
+    for n in (len(weights_bytes(net)) + 5, len(ckpt) - 100, len(ckpt) - 1):
+        cut.write_bytes(ckpt[:n])
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(str(cut))
+    assert builds == []
+    load_checkpoint(str(full))
+    assert builds == [1]
+
+
+class FailingFile:
+    """A file opened for writing that takes ``limit`` bytes, then raises."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit = fh, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        room = self.limit - self.fh.tell()
+        if len(data) > room:
+            self.fh.write(data[:room])
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("save", ["weights", "checkpoint"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save):
+    path = tmp_path / "model.bin"
+
+    def write(seed):
+        net = warmed_net(seed)
+        if save == "weights":
+            save_weights(str(path), net)
+        else:
+            save_checkpoint(str(path), net, Adam(net.parameter_store()),
+                            epoch=1, global_step=2, master_seed=3,
+                            best_val_dsc=0.5)
+
+    write(1)
+    before = path.read_bytes()
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        fh = open(name, mode, *args, **kwargs)
+        return FailingFile(fh, len(before) // 2) if "w" in mode else fh
+
+    monkeypatch.setattr(serial, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.bin"]
+    monkeypatch.undo()
+    write(2)
+    assert path.read_bytes() != before
+    assert os.listdir(tmp_path) == ["model.bin"]
