@@ -18,7 +18,7 @@ from . import layers as L
 from .autodiff import (ParameterStore, Tensor, backward, fd_coord_check,
                        finite_diff_check, no_grad, reduce_sum)
 from .losses import LossConfig, dice_loss, focal_loss, hybrid_loss
-from .model import (CSDN, ContextBlock, FusionBlock, GELayerS1, GELayerS2,
+from .model import (CSDN, ContextBlock, CsdnOutput, FusionBlock, GELayerS1, GELayerS2,
                     NetworkConfig, SegHead, StemBlock, count_parameters)
 
 PARAM_LIMIT = 100_000
@@ -125,6 +125,10 @@ def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
         fd(f"focal-loss/{gname}", lambda t, c=cfgl: focal_loss(t, labels, c),
            zl)
     fd("dice-loss", lambda t: dice_loss(t, labels, LossConfig()), zl)
+    # the probe feeds the main head and, halved, the second of two aux heads
+    aux = _t(rng, 2, 3, 6, 6)
+    fd("hybrid-loss/aux", lambda t: hybrid_loss(
+        CsdnOutput(t, [aux, t * 0.5]), labels, LossConfig(aux_weight=0.4)), zl)
     return out
 
 

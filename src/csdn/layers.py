@@ -200,19 +200,21 @@ def pool2d(kind: str, x: Tensor, kernel=3, stride=2, padding=1) -> Tensor:
         xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
                     constant_values=-np.inf)
         best = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
-        arg = np.zeros((n, c, oh, ow), dtype=np.int8)
-        for idx, (di, dj) in enumerate(offsets):
-            sl = xp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw]
-            better = sl > best  # strict: ties keep the first row-major offset
-            best = np.where(better, sl, best)
-            arg[better] = idx
+        for di, dj in offsets:
+            np.maximum(best, xp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw],
+                       out=best)
         out = Tensor(best)
 
         def bwd(g):
+            # each window routes to its first row-major maximum, then closes
             gp = np.zeros_like(xp)
-            for idx, (di, dj) in enumerate(offsets):
-                gp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw] += \
-                    np.where(arg == idx, g, 0.0)
+            open_ = np.ones(best.shape, dtype=bool)
+            for di, dj in offsets:
+                sl = (slice(None), slice(None), slice(di, di + sh * oh, sh),
+                      slice(dj, dj + sw * ow, sw))
+                hit = open_ & (xp[sl] == best)
+                gp[sl] += np.where(hit, g, 0.0)
+                open_ &= ~hit
             return (np.ascontiguousarray(gp[:, :, ph:ph + h, pw:pw + w]),)
 
         return record(out, [x], bwd, "max_pool2d")
@@ -276,10 +278,7 @@ def _resize_matrix(src: int, dst: int, mode: str) -> np.ndarray:
     scale = src / dst
     coords = (np.arange(dst, dtype=np.float64) + 0.5) * scale - 0.5
     mat = np.zeros((dst, src), dtype=np.float64)
-    if mode == "nearest":
-        idx = np.clip(np.floor(coords + 0.5).astype(np.int64), 0, src - 1)
-        mat[np.arange(dst), idx] = 1.0
-    elif mode == "bilinear":
+    if mode == "bilinear":
         i0 = np.floor(coords).astype(np.int64)
         t = coords - i0
         for off, wgt in ((0, 1.0 - t), (1, t)):

@@ -1,9 +1,10 @@
 """Hybrid segmentation objective: focal + soft dice, with auxiliary heads.
 
-Both losses are single fused graph ops with analytic backward passes.
-Composing them out of elementwise primitives would put pow/log on the
-path right where p_y -> 1 or gamma -> 0 degenerate; the fused forms
-branch those cases explicitly instead.
+Each objective is one recorded op. Per head, one kernel computes the
+softmax, one-hot and label gather once for both terms and gives the
+gradient of their weighted sum as one expression; its analytic form
+branches where p_y -> 1 or gamma -> 0 degenerate instead of putting
+pow/log on that path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, record, scale
+from .autodiff import Tensor, record
 from .model import CsdnOutput
 
 
@@ -52,43 +53,70 @@ def _check_labels(labels: np.ndarray, logits: Tensor) -> np.ndarray:
     return labels
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1, keepdims=True)
-    zs = z - m
-    return zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-
-
-def focal_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
-    """Mean per-pixel -alpha_y (1-p_y)^gamma log p_y over softmax p."""
+def _head(logits: Tensor, labels: np.ndarray, cfg: LossConfig):
+    """(focal, dice, grad) of one head, where ``grad(wf, wd)`` is the logit
+    gradient of wf*focal + wd*dice."""
     labels = _check_labels(labels, logits)
     n, k, h, w = logits.shape
-    gamma = float(cfg.focal_gamma)
-    alpha = cfg.alpha_vector(k).astype(logits.dtype)
+    npix = n * h * w
+    gamma, eps = float(cfg.focal_gamma), float(cfg.dice_eps)
 
-    lsm = _log_softmax(logits.data)
-    lsm_y = np.take_along_axis(lsm, labels[:, None], axis=1)[:, 0]
+    zs = logits.data - logits.data.max(axis=1, keepdims=True)
+    p = np.exp(zs)
+    sumexp = p.sum(axis=1, keepdims=True)
+    p /= sumexp
+    onehot = (labels[:, None] == np.arange(k).reshape(1, k, 1, 1)).astype(p.dtype)
+    lsm_y = (zs * onehot).sum(axis=1, keepdims=True) - np.log(sumexp)
     u = np.exp(lsm_y)
     om_u = -np.expm1(lsm_y)  # 1 - p_y without cancellation near 1
-    a_y = alpha[labels]
-    npix = n * h * w
-    focal_w = np.ones_like(u) if gamma == 0.0 else om_u ** gamma
-    loss_val = float((-a_y * focal_w * lsm_y).sum() / npix)
-    out = Tensor.scalar(loss_val, dtype=logits.dtype)
+    a_y = cfg.alpha_vector(k).astype(p.dtype)[labels[:, None]]
+    focal_w = 1.0 if gamma == 0.0 else om_u ** gamma
+    focal = float((-a_y * focal_w * lsm_y).sum() / npix)
 
-    def bwd(g):
-        p = np.exp(lsm)
+    inter = (p * onehot).sum(axis=(0, 2, 3))
+    gsum = onehot.sum(axis=(0, 2, 3))
+    denom = p.sum(axis=(0, 2, 3)) + gsum + eps
+    present = gsum > 0
+    kept = int(present.sum())  # a numpy int would promote f32 grads to f64
+    dice = float(1.0 - ((2.0 * inter + eps) / denom)[present].mean())
+
+    def grad(wf: float, wd: float) -> np.ndarray:
+        # p (c + q - sum_k q_k p_k) - c onehot: c is the per-pixel focal
+        # factor (focal gradient c (p - onehot)), q = d(wd dice)/dp.
         if gamma == 0.0:
-            bracket = np.ones_like(u)
+            bracket = 1.0
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 bracket = om_u ** gamma - gamma * u * lsm_y * om_u ** (gamma - 1.0)
             bracket = np.where(om_u <= 0.0, 0.0, bracket)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-        gz = (a_y * bracket)[:, None] * (p - onehot)
-        return (gz * (g.reshape(()) / npix),)
+        c = (wf / npix) * a_y * bracket
+        qs = np.where(present, (wd / kept) / denom ** 2, 0.0).reshape(1, k, 1, 1)
+        q = ((2.0 * inter + eps).reshape(1, k, 1, 1)
+             - (2.0 * denom).reshape(1, k, 1, 1) * onehot) * qs
+        return p * (c + q - (q * p).sum(axis=1, keepdims=True)) - c * onehot
 
-    return record(out, [logits], bwd, "focal_loss")
+    return focal, dice, grad
+
+
+def _objective(heads: list[Tensor], weights: list[tuple[float, float]],
+               labels: np.ndarray, cfg: LossConfig, op: str) -> Tensor:
+    """sum over heads of wf*focal + wd*dice, with one (wf, wd) per head, as
+    one recorded op."""
+    terms = [_head(z, labels, cfg) for z in heads]
+    value = sum(wf * f + wd * d for (wf, wd), (f, d, _) in zip(weights, terms))
+    out = Tensor.scalar(value, dtype=heads[0].dtype)
+
+    def bwd(g):
+        s = float(g.reshape(()))
+        return tuple(grad(s * wf, s * wd)
+                     for (wf, wd), (_, _, grad) in zip(weights, terms))
+
+    return record(out, heads, bwd, op)
+
+
+def focal_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
+    """Mean per-pixel -alpha_y (1-p_y)^gamma log p_y over softmax p."""
+    return _objective([logits], [(1.0, 0.0)], labels, cfg, "focal_loss")
 
 
 def dice_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
@@ -98,45 +126,13 @@ def dice_loss(logits: Tensor, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     over batch and space; classes with no ground-truth pixels are skipped
     so the mean never divides by a vacuous denominator.
     """
-    labels = _check_labels(labels, logits)
-    n, k, h, w = logits.shape
-    eps = float(cfg.dice_eps)
-
-    lsm = _log_softmax(logits.data)
-    p = np.exp(lsm)
-    onehot = np.zeros_like(p)
-    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-
-    inter = (p * onehot).sum(axis=(0, 2, 3))
-    psum = p.sum(axis=(0, 2, 3))
-    gsum = onehot.sum(axis=(0, 2, 3))
-    present = gsum > 0
-    denom = psum + gsum + eps
-    dice = (2.0 * inter + eps) / denom
-    kept = int(present.sum())
-    loss_val = float(1.0 - dice[present].mean())
-    out = Tensor.scalar(loss_val, dtype=logits.dtype)
-
-    def bwd(g):
-        # q_c = dL/dp_c per pixel; zero for skipped classes.
-        num = 2.0 * onehot * denom.reshape(1, k, 1, 1) \
-            - (2.0 * inter + eps).reshape(1, k, 1, 1)
-        q = -(num / (denom ** 2).reshape(1, k, 1, 1)) / kept
-        q = np.where(present.reshape(1, k, 1, 1), q, 0.0)
-        dot = (q * p).sum(axis=1, keepdims=True)
-        gz = p * (q - dot)
-        return (gz * g.reshape(()),)
-
-    return record(out, [logits], bwd, "dice_loss")
+    return _objective([logits], [(0.0, 1.0)], labels, cfg, "dice_loss")
 
 
 def hybrid_loss(out: CsdnOutput, labels: np.ndarray, cfg: LossConfig) -> Tensor:
     """focal + dice on the main head, plus aux_weight times the same on
     each auxiliary head (absent in eval mode)."""
-    total = add(focal_loss(out.main_logits, labels, cfg),
-                dice_loss(out.main_logits, labels, cfg))
-    for aux in out.aux_logits:
-        term = add(focal_loss(aux, labels, cfg),
-                   dice_loss(aux, labels, cfg))
-        total = add(total, scale(term, cfg.aux_weight))
-    return total
+    a = float(cfg.aux_weight)
+    weights = [(1.0, 1.0)] + [(a, a)] * len(out.aux_logits)
+    return _objective([out.main_logits, *out.aux_logits], weights, labels,
+                      cfg, "hybrid_loss")

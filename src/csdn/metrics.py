@@ -125,9 +125,8 @@ class MetricsReport:
 def sample_metrics(pred_label: np.ndarray, true_label: np.ndarray,
                    spacing_mm: float) -> dict[str, RegionMetrics]:
     out = {}
-    for region, (pm, tm) in (
-            ("lumen", (region_masks(pred_label)[0], region_masks(true_label)[0])),
-            ("eem", (region_masks(pred_label)[1], region_masks(true_label)[1]))):
+    for region, pm, tm in zip(("lumen", "eem"), region_masks(pred_label),
+                              region_masks(true_label)):
         h = None
         if pm.any() and tm.any():
             h = hd95(pm, tm, spacing_mm)

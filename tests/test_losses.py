@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax, softmax
 
-from csdn.autodiff import Tensor
+from csdn import losses
+from csdn.autodiff import Tensor, backward
 from csdn.losses import LossConfig, dice_loss, focal_loss, hybrid_loss
 from csdn.model import CsdnOutput
 
@@ -143,6 +144,29 @@ def test_hybrid_weights_aux_heads():
     assert bare == pytest.approx(term(main), rel=1e-6)
 
 
+def test_hybrid_is_one_op_and_keeps_float32(monkeypatch):
+    # the whole objective over five heads is one recorded node, and float32
+    # heads get float32 gradients (a numpy integer in the Dice denominator
+    # would promote them to float64)
+    recorded = []
+    record = losses.record
+    monkeypatch.setattr(losses, "record",
+                        lambda out, inputs, bwd, op: recorded.append(op)
+                        or record(out, inputs, bwd, op))
+    rng = np.random.Generator(np.random.PCG64(85))
+    heads = [Tensor(logits_(rng).data.astype(np.float32), requires_grad=True)
+             for _ in range(5)]
+    y = labels_(rng)
+    loss = hybrid_loss(CsdnOutput(heads[0], heads[1:]), y, LossConfig())
+    assert recorded == ["hybrid_loss"]
+    backward(loss)
+    assert loss.dtype == np.float32
+    assert [h.grad.dtype for h in heads] == [np.float32] * 5
+    focal_loss(heads[0], y, LossConfig())
+    dice_loss(heads[0], y, LossConfig())
+    assert recorded == ["hybrid_loss", "focal_loss", "dice_loss"]
+
+
 def test_label_validation():
     z = Tensor.zeros((1, 3, 4, 4), dtype=np.float64)
     cfg = LossConfig()
@@ -152,6 +176,10 @@ def test_label_validation():
         focal_loss(z, np.zeros((1, 4, 4)), cfg)
     with pytest.raises(ValueError, match="label values"):
         dice_loss(z, np.full((1, 4, 4), 3, dtype=np.int64), cfg)
+    # every head is checked, not only the main one
+    small = Tensor.zeros((1, 3, 2, 2), dtype=np.float64)
+    with pytest.raises(ValueError, match="labels shape"):
+        hybrid_loss(CsdnOutput(z, [z, small]), np.zeros((1, 4, 4), dtype=np.int64), cfg)
 
 
 def test_config_validation():
