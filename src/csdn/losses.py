@@ -61,39 +61,41 @@ def _head(logits: Tensor, labels: np.ndarray, cfg: LossConfig):
     npix = n * h * w
     gamma, eps = float(cfg.focal_gamma), float(cfg.dice_eps)
 
-    zs = logits.data - logits.data.max(axis=1, keepdims=True)
-    p = np.exp(zs)
+    onehot = labels[:, None] == np.arange(k).reshape(1, k, 1, 1)
+    p = logits.data - logits.data.max(axis=1, keepdims=True)
+    lsm_y = (p * onehot).sum(axis=1, keepdims=True)  # shifted z_y, for now
+    np.exp(p, out=p)
     sumexp = p.sum(axis=1, keepdims=True)
     p /= sumexp
-    onehot = (labels[:, None] == np.arange(k).reshape(1, k, 1, 1)).astype(p.dtype)
-    lsm_y = (zs * onehot).sum(axis=1, keepdims=True) - np.log(sumexp)
-    u = np.exp(lsm_y)
-    om_u = -np.expm1(lsm_y)  # 1 - p_y without cancellation near 1
+    lsm_y -= np.log(sumexp)
     a_y = cfg.alpha_vector(k).astype(p.dtype)[labels[:, None]]
-    focal_w = 1.0 if gamma == 0.0 else om_u ** gamma
+    focal_w = 1.0 if gamma == 0.0 else (-np.expm1(lsm_y)) ** gamma
     focal = float((-a_y * focal_w * lsm_y).sum() / npix)
 
     inter = (p * onehot).sum(axis=(0, 2, 3))
-    gsum = onehot.sum(axis=(0, 2, 3))
+    gsum = onehot.sum(axis=(0, 2, 3), dtype=p.dtype)
     denom = p.sum(axis=(0, 2, 3)) + gsum + eps
     present = gsum > 0
     kept = int(present.sum())  # a numpy int would promote f32 grads to f64
     dice = float(1.0 - ((2.0 * inter + eps) / denom)[present].mean())
 
     def grad(wf: float, wd: float) -> np.ndarray:
-        # p (c + q - sum_k q_k p_k) - c onehot: c is the per-pixel focal
-        # factor (focal gradient c (p - onehot)), q = d(wd dice)/dp.
+        # c (p - onehot) + p (q - s) with q_j = a_j - b_j [j = y], s = sum_j q_j p_j
+        u = np.exp(lsm_y)
         if gamma == 0.0:
             bracket = 1.0
         else:
+            om_u = -np.expm1(lsm_y)  # 1 - p_y without cancellation near 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 bracket = om_u ** gamma - gamma * u * lsm_y * om_u ** (gamma - 1.0)
             bracket = np.where(om_u <= 0.0, 0.0, bracket)
         c = (wf / npix) * a_y * bracket
-        qs = np.where(present, (wd / kept) / denom ** 2, 0.0).reshape(1, k, 1, 1)
-        q = ((2.0 * inter + eps).reshape(1, k, 1, 1)
-             - (2.0 * denom).reshape(1, k, 1, 1) * onehot) * qs
-        return p * (c + q - (q * p).sum(axis=1, keepdims=True)) - c * onehot
+        qs = np.where(present, (wd / kept) / denom ** 2, 0.0)
+        a = ((2.0 * inter + eps) * qs).reshape(1, k, 1, 1)
+        b_y = (2.0 * denom * qs)[labels[:, None]]
+        s = (p * a).sum(axis=1, keepdims=True) - b_y * u
+        np.multiply(p, c - s + a, out=p)  # over p: a graph runs backward once
+        return np.subtract(p, onehot * (c + b_y * u), out=p)
 
     return focal, dice, grad
 
