@@ -42,8 +42,7 @@ class DataError(Exception):
 # -- run configuration --------------------------------------------------------
 
 # flat key=value files; "#" starts a comment, unknown keys are rejected.
-# The keys are "preset" plus the fields of the three config dataclasses; a
-# field two configs share (aux_weight) is one key that sets both.
+# The keys are "preset" plus the fields of the three config dataclasses.
 _PRESETS = {"reference": NetworkConfig, "tiny": NetworkConfig.tiny,
             "micro": NetworkConfig.micro, "desk": NetworkConfig.desk}
 
@@ -153,16 +152,10 @@ def _fmt(v) -> str:
 
 def echo_config(net_cfg: NetworkConfig, train_cfg: TrainConfig,
                 loss_cfg: LossConfig) -> list[str]:
-    """Every effective key as a key=value line (shared keys once)."""
-    lines: list[str] = []
-    seen: set[str] = set()
-    for cfg in (net_cfg, train_cfg, loss_cfg):
-        for f in dataclasses.fields(cfg):
-            if f.name in seen:
-                continue
-            seen.add(f.name)
-            lines.append(f"{f.name}={_fmt(getattr(cfg, f.name))}")
-    return lines
+    """Every effective key as a key=value line."""
+    return [f"{f.name}={_fmt(getattr(cfg, f.name))}"
+            for cfg in (net_cfg, train_cfg, loss_cfg)
+            for f in dataclasses.fields(cfg)]
 
 
 # -- commands -----------------------------------------------------------------

@@ -18,8 +18,8 @@ from . import layers as L
 from .autodiff import (ParameterStore, Tensor, backward, fd_coord_check,
                        finite_diff_check, no_grad, reduce_sum)
 from .losses import LossConfig, dice_loss, focal_loss, hybrid_loss
-from .model import (CSDN, ContextBlock, CsdnOutput, FusionBlock, GELayerS1, GELayerS2,
-                    NetworkConfig, SegHead, StemBlock, count_parameters)
+from .model import (CSDN, IN_FRAMES, NUM_CLASSES, ContextBlock, CsdnOutput, FusionBlock,
+                    GELayerS1, GELayerS2, NetworkConfig, SegHead, StemBlock, count_parameters)
 
 PARAM_LIMIT = 100_000
 
@@ -221,9 +221,9 @@ def check_end_to_end(config: NetworkConfig, tol: float = 1e-4,
         net = CSDN(config, seed=seed, dtype=np.float64)
         net.train(mode == "train")
         rng = _rng(seed + 100)
-        x = Tensor(rng.uniform(0.0, 1.0, size=(batch, 3, size, size)),
+        x = Tensor(rng.uniform(0.0, 1.0, size=(batch, IN_FRAMES, size, size)),
                    dtype=np.float64)
-        labels = rng.integers(0, config.num_classes, size=(batch, size, size))
+        labels = rng.integers(0, NUM_CLASSES, size=(batch, size, size))
 
         def loss_fn(inp=x, n=net, lab=labels):
             return hybrid_loss(n(inp), lab, loss_cfg)

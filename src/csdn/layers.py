@@ -158,14 +158,13 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """y = x for x >= 0, alpha_c * x below; alpha is (1, c, 1, 1)."""
     if alpha.shape != (1, x.shape[1], 1, 1):
         raise ValueError(f"alpha shape {alpha.shape} != (1,{x.shape[1]},1,1)")
-    neg = x.data < 0
-    out = Tensor(np.where(neg, alpha.data * x.data, x.data))
     x_data, a_data = x.data, alpha.data
+    out = Tensor(np.maximum(x_data, 0) + a_data * np.minimum(x_data, 0))
 
     def bwd(g):
-        gx = np.where(neg, a_data * g, g)
-        ga = (g * x_data * neg).sum(axis=(0, 2, 3)).reshape(alpha.shape)
-        return gx, ga
+        gx = np.where(x_data < 0, a_data * g, g)
+        ga = (g * np.minimum(x_data, 0)).sum(axis=(0, 2, 3))
+        return gx, ga.reshape(alpha.shape)
 
     return record(out, [x, alpha], bwd, "prelu")
 

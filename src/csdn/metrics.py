@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .autodiff import Tensor, no_grad
+from .model import IN_FRAMES
 
 
 def region_masks(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +212,7 @@ def fps_benchmark(model, input_hw: tuple[int, int], batch: int = 1,
         raise ValueError("need warmup >= 1 and timed iterations >= 10")
     model.eval()
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = Tensor(rng.uniform(0.0, 1.0,
-                           size=(batch, model.config.in_frames,
-                                 input_hw[0], input_hw[1]))
+    x = Tensor(rng.uniform(0.0, 1.0, size=(batch, IN_FRAMES, *input_hw))
                .astype(model.dtype))
     with no_grad():
         for _ in range(warmup_iters):

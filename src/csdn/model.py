@@ -21,12 +21,16 @@ from .layers import (BatchNorm2d, Conv2d, PReLU, concat_channels,
                      global_avg_pool, pixel_shuffle, pixel_unshuffle, pool2d,
                      resize, sigmoid)
 
+# The task fixes both: three consecutive frames in, and background, EEM
+# region and lumen out.
+IN_FRAMES = 3
+NUM_CLASSES = 3
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    in_frames: int = 3
-    num_classes: int = 3
-    downsample_r: int = 2
+    """The widths and depths a preset sets."""
+
     shallow_channels: tuple[int, int, int] = (24, 40, 80)
     stem_channels: int = 16
     ge_stage_channels: tuple[int, int, int] = (24, 48, 58)
@@ -35,15 +39,12 @@ class NetworkConfig:
     fusion_channels: int = 80
     head_channels: int = 80
     aux_channels: int = 40
-    aux_weight: float = 0.4
 
     def __post_init__(self):
         if self.stem_channels % 2:
             raise ValueError("stem_channels must be even (half-width branch)")
         if any(l < 1 for l in self.ge_layers):
             raise ValueError("each stage needs at least one layer")
-        if self.downsample_r < 1:
-            raise ValueError("downsample_r must be >= 1")
 
     @staticmethod
     def reference() -> "NetworkConfig":
@@ -318,8 +319,7 @@ class CSDN(Module):
         self.config = config
         self.dtype = dtype
         rng = np.random.Generator(np.random.PCG64(seed))
-        r = config.downsample_r
-        down_c = config.in_frames * r * r
+        down_c = IN_FRAMES * 4  # after the 2x2 space-to-channel step
         c3 = config.shallow_channels[2]
         s5 = config.ge_stage_channels[2]
         f = config.fusion_channels
@@ -331,24 +331,21 @@ class CSDN(Module):
         self.semantic_proj = (ConvBNAct(s5, f, 1, 1, 0, act=False, rng=rng,
                                         dtype=dtype) if s5 != f else None)
         self.fusion = FusionBlock(f, rng, dtype)
-        self.head = SegHead(f, config.head_channels, config.num_classes, rng,
-                            dtype)
+        self.head = SegHead(f, config.head_channels, NUM_CLASSES, rng, dtype)
         tap_c = [config.stem_channels] + list(config.ge_stage_channels)
         self.aux_heads = ModuleList([
-            AuxHead(c, config.aux_channels, config.num_classes, rng, dtype)
+            AuxHead(c, config.aux_channels, NUM_CLASSES, rng, dtype)
             for c in tap_c])
 
     def downsample(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
-        r = self.config.downsample_r
         y = resize(x, h // 2, w // 2, "bicubic")
-        return pixel_unshuffle(y, r)
+        return pixel_unshuffle(y, 2)
 
     def __call__(self, x: Tensor) -> CsdnOutput:
         n, c, h, w = x.shape
-        if c != self.config.in_frames:
-            raise ValueError(f"expected {self.config.in_frames} input frames, "
-                             f"got {c}")
+        if c != IN_FRAMES:
+            raise ValueError(f"expected {IN_FRAMES} input frames, got {c}")
         if h % 32 or w % 32:
             raise ValueError(f"input size {h}x{w} must be a multiple of 32")
         z = self.downsample(x)

@@ -1,22 +1,25 @@
-"""Binary weight-file and checkpoint formats.
+"""Binary weight-file and checkpoint formats, version 2.
 
 Weight file: magic "CSDN", format version u16, the network config block,
-then one record per tensor (learnable parameters and normalization running
-stats alike, the latter flagged non-learnable). Records are sorted by name
-so files are reproducible.
+a record count, one record per tensor (learnable parameters and
+normalization running stats alike, the latter flagged non-learnable),
+then a CRC32 trailer. Records are sorted by name so files are reproducible.
 
 The config block is the ``NetworkConfig`` fields in declaration order,
-little-endian: i32 for an int, three i32 for an int triple, f64 for a
-float. Adding, removing, reordering or retyping a field therefore changes
-the format and needs a ``VERSION`` bump.
+little-endian: i32 for an int, three i32 for an int triple. Adding,
+removing, reordering or retyping a field therefore changes the format and
+needs a ``VERSION`` bump; files of any other version are rejected.
 
-Checkpoint: a weight file, then a has-optimizer byte, the optimizer
-moments in the same record encoding, and a fixed-size trailer (epoch,
-global step, master seed, best validation score).
+Checkpoint: the weight block, then a has-optimizer byte, the optimizer
+moments in the same record encoding, a fixed-size trailer (epoch, global
+step, master seed, best validation score) and the CRC32 trailer.
 
-Every read is bounds-checked; a short file raises ``FormatError``. Both
-kinds of file are written to a temp file beside the target and renamed
-onto it, so a crash mid-write leaves the previous file whole.
+The CRC32 trailer is ``zlib.crc32`` of every byte before it. A file is
+parsed first, every read bounds-checked so a short file raises
+``FormatError("truncated ...")``, then its CRC is checked, and only then
+is a network built. Both kinds of file are written to a temp file beside
+the target and renamed onto it, so a crash mid-write leaves the previous
+file whole.
 """
 
 from __future__ import annotations
@@ -27,19 +30,20 @@ import itertools
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from .model import CSDN, NetworkConfig
 
 MAGIC = b"CSDN"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 # struct code per NetworkConfig field annotation
-_FIELD_CODES = {"int": "i", "tuple[int, int, int]": "3i", "float": "d"}
+_FIELD_CODES = {"int": "i", "tuple[int, int, int]": "3i"}
 _CONFIG = struct.Struct("<" + "".join(
     _FIELD_CODES[f.type] for f in dataclasses.fields(NetworkConfig)))
 
@@ -65,11 +69,6 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def _open(path: str) -> _Reader:
-    with open(path, "rb") as fh:
-        return _Reader(memoryview(fh.read()))
-
-
 def _pack_config(cfg: NetworkConfig) -> bytes:
     vals = []
     for f in dataclasses.fields(cfg):
@@ -78,7 +77,8 @@ def _pack_config(cfg: NetworkConfig) -> bytes:
     return _CONFIG.pack(*vals)
 
 
-def _read_config(r: _Reader) -> NetworkConfig:
+def _read_config(r: _Reader) -> dict:
+    """``NetworkConfig`` keywords, built into a config after the CRC."""
     vals = iter(r.unpack(_CONFIG.format, "config block"))
     kw = {}
     for f in dataclasses.fields(NetworkConfig):
@@ -86,7 +86,7 @@ def _read_config(r: _Reader) -> NetworkConfig:
             kw[f.name] = tuple(itertools.islice(vals, 3))
         else:
             kw[f.name] = next(vals)
-    return NetworkConfig(**kw)
+    return kw
 
 
 def _pack_record(name: str, arr: np.ndarray, learnable: bool) -> bytes:
@@ -103,11 +103,14 @@ def _pack_record(name: str, arr: np.ndarray, learnable: bool) -> bytes:
 
 def _read_record(r: _Reader):
     nlen, = r.unpack("<H", "record header")
-    name = bytes(r.take(nlen, "record name")).decode("utf-8")
+    # a damaged name decodes with U+FFFD; the CRC check rejects the file
+    name = bytes(r.take(nlen, "record name")).decode("utf-8", "replace")
     tag, learnable, rank = r.unpack("<BBB", f"record header of {name!r}")
     if tag not in _TAG_DTYPES:
         raise FormatError(f"{name}: unknown dtype tag {tag}")
     dims = r.unpack(f"<{rank}I", f"shape of {name!r}")
+    if rank != 4 or 0 in dims:  # every tensor is a non-empty (n, c, h, w)
+        raise FormatError(f"{name}: bad shape {dims}")
     dtype = _TAG_DTYPES[tag]
     data = r.take(math.prod(dims) * dtype.itemsize,
                   f"tensor data of {name!r}")
@@ -124,12 +127,22 @@ def _net_records(net: CSDN):
         yield name, t.data, False
 
 
-def weights_bytes(net: CSDN) -> bytes:
+def _weight_block(net: CSDN) -> bytes:
     parts = [MAGIC, struct.pack("<H", VERSION), _pack_config(net.config)]
     parts.append(struct.pack("<I", sum(1 for _ in _net_records(net))))
     for name, arr, learnable in _net_records(net):
         parts.append(_pack_record(name, arr, learnable))
     return b"".join(parts)
+
+
+def _sealed(body: bytes) -> bytes:
+    """``body`` followed by its CRC32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def weights_bytes(net: CSDN) -> bytes:
+    """The bytes of a weight file for ``net``."""
+    return _sealed(_weight_block(net))
 
 
 def _write_atomic(path: str, data: bytes):
@@ -153,7 +166,8 @@ def save_weights(path: str, net: CSDN):
 
 
 def _read_records(r: _Reader):
-    """Parse a weight block: (config, {name: array}, parameter dtype)."""
+    """Parse a weight block: (config keywords, {name: array}, parameter
+    dtype)."""
     if r.take(len(MAGIC), "magic") != MAGIC:
         raise FormatError("bad magic; not a CSDN weight file")
     version, = r.unpack("<H", "format version")
@@ -171,8 +185,45 @@ def _read_records(r: _Reader):
     return cfg, records, dtype
 
 
-def _build_net(cfg: NetworkConfig, records: dict, dtype) -> CSDN:
-    net = CSDN(cfg, seed=0, dtype=dtype)
+def _read_checkpoint_tail(r: _Reader):
+    """(opt_state | None, trailer dict) after a checkpoint's weights."""
+    has_opt, = r.unpack("<B", "optimizer flag")
+    opt_state = None
+    if has_opt:
+        step, n_pairs = r.unpack("<QI", "optimizer header")
+        m, v = {}, {}
+        for _ in range(n_pairs):
+            name, arr, _l = _read_record(r)
+            m[name.removeprefix("m:")] = arr
+            name, arr, _l = _read_record(r)
+            v[name.removeprefix("v:")] = arr
+        opt_state = {"step": step, "m": m, "v": v}
+    epoch, global_step, master_seed, best = r.unpack("<IQQd",
+                                                     "checkpoint trailer")
+    trailer = {"epoch": epoch, "global_step": global_step,
+               "master_seed": master_seed, "best_val_dsc": best}
+    return opt_state, trailer
+
+
+def _read_file(path: str, checkpoint: bool):
+    """Parse a whole file, then check its CRC32 trailer: (weight block,
+    checkpoint tail | None). The checkpoint sections are read when
+    ``checkpoint`` is set or more than the CRC follows the weight block."""
+    with open(path, "rb") as fh:
+        r = _Reader(memoryview(fh.read()))
+    weights = _read_records(r)
+    tail = None
+    if checkpoint or len(r.buf) - r.off > 4:
+        tail = _read_checkpoint_tail(r)
+    crc, = r.unpack("<I", "CRC32 trailer")
+    if r.off != len(r.buf) or crc != zlib.crc32(r.buf[:-4]):
+        raise FormatError("CRC32 trailer does not match; the file is "
+                          "corrupt")
+    return weights, tail
+
+
+def _build_net(cfg: dict, records: dict, dtype) -> CSDN:
+    net = CSDN(NetworkConfig(**cfg), seed=0, dtype=dtype)
     known = dict(net.named_parameters())
     known.update(net.named_buffers())
     for name, arr in records.items():
@@ -190,13 +241,15 @@ def _build_net(cfg: NetworkConfig, records: dict, dtype) -> CSDN:
 
 
 def load_weights(path: str) -> CSDN:
-    return _build_net(*_read_records(_open(path)))
+    """The network stored in a weight file or in a checkpoint."""
+    weights, _tail = _read_file(path, checkpoint=False)
+    return _build_net(*weights)
 
 
 def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
                     global_step: int, master_seed: int,
                     best_val_dsc: float):
-    parts = [weights_bytes(net)]
+    parts = [_weight_block(net)]
     if opt is not None:
         names = sorted(opt.m)
         parts.append(struct.pack("<BQI", 1, opt.step_count, len(names)))
@@ -207,28 +260,13 @@ def save_checkpoint(path: str, net: CSDN, opt=None, *, epoch: int,
         parts.append(struct.pack("<B", 0))
     parts.append(struct.pack("<IQQd", epoch, global_step, master_seed,
                              best_val_dsc))
-    _write_atomic(path, b"".join(parts))
+    _write_atomic(path, _sealed(b"".join(parts)))
 
 
 def load_checkpoint(path: str):
     """Returns (net, opt_state | None, trailer dict). opt_state holds
     step count plus m/v arrays keyed by parameter name. The whole file is
-    parsed before the network is built, so a short file fails cheaply."""
-    r = _open(path)
-    weights = _read_records(r)
-    has_opt, = r.unpack("<B", "optimizer flag")
-    opt_state = None
-    if has_opt:
-        step, n_pairs = r.unpack("<QI", "optimizer header")
-        m, v = {}, {}
-        for _ in range(n_pairs):
-            name, arr, _l = _read_record(r)
-            m[name.removeprefix("m:")] = arr
-            name, arr, _l = _read_record(r)
-            v[name.removeprefix("v:")] = arr
-        opt_state = {"step": step, "m": m, "v": v}
-    epoch, global_step, master_seed, best = r.unpack("<IQQd",
-                                                     "checkpoint trailer")
-    trailer = {"epoch": epoch, "global_step": global_step,
-               "master_seed": master_seed, "best_val_dsc": best}
+    parsed and its CRC checked before the network is built, so a short or
+    corrupt file fails cheaply."""
+    weights, (opt_state, trailer) = _read_file(path, checkpoint=True)
     return _build_net(*weights), opt_state, trailer

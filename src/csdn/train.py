@@ -89,10 +89,8 @@ class Adam:
             self.v[n] = state["v"][n].astype(self.v[n].dtype, copy=True)
 
     def step(self, grads: dict[str, Tensor], lr: float):
-        self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        """One update; every gradient is checked (present, shape, finite)
+        before any parameter, moment or step count changes."""
         for name, p in self.store.items():
             if name not in grads:
                 raise ValueError(f"no gradient supplied for {name!r}")
@@ -100,6 +98,14 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter "
                                  f"{p.data.shape} for {name!r}")
+            if not np.isfinite(g).all():
+                raise AutodiffError(f"non-finite gradient for {name!r}")
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in self.store.items():
+            g = grads[name].data
             wd = self.weight_decay if self.decayed(name) else 0.0
             if wd and not self.decoupled:
                 g = g + wd * p.data

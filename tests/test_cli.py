@@ -2,17 +2,21 @@
 trail each subcommand leaves behind. Everything runs in-process through
 main(argv) so stdout/stderr land in capsys."""
 
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from csdn import train as train_module
 from csdn.cli import (DataError, UsageError, echo_config, load_run_config,
                       main)
+from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
 from csdn.phantom import read_pgm
 from csdn.serial import save_weights
+from csdn.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +65,20 @@ def test_config_overlay(tmp_path):
     ]))
     net, tr, lo = load_run_config(path)
     assert net.stem_channels == NetworkConfig.micro().stem_channels
-    assert net.aux_weight == 0.2
     assert tr.epochs == 2 and tr.lr0 == 0.01 and tr.augment == "none"
     assert tr.decoupled_decay is True
     assert lo.focal_gamma == 0.0
     assert lo.focal_alpha == (1.0, 2.0, 4.0)
     assert lo.aux_weight == 0.2
+
+
+def test_each_key_sets_one_config():
+    fields = [f.name for cls in (NetworkConfig, TrainConfig, LossConfig)
+              for f in dataclasses.fields(cls)]
+    assert len(set(fields)) == len(fields)
+    assert "preset" not in fields
+    keys = [line.split("=")[0] for line in echo_config(*load_run_config(None))]
+    assert keys == fields
 
 
 def test_unknown_key_reports_file_and_line(tmp_path):
@@ -184,6 +196,26 @@ def test_train_then_eval_and_report(ds64, tmp_path, capsys):
     lines = report.read_text().splitlines()
     assert lines[0] == "sample_id,region,dsc,iou,hd95_mm"
     assert len(lines) == 3  # header + lumen/eem rows for the one sample
+
+
+def test_train_nan_gradient_exits_3(ds64, tmp_path, capsys, monkeypatch):
+    real_backward = train_module.backward
+
+    def planted(loss, store):
+        grads = real_backward(loss, store)
+        grads["head.point.bias"].data.flat[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(train_module, "backward", planted)
+    cfg = write_cfg(tmp_path, "preset = micro\nepochs = 1\nbatch_size = 3\n"
+                              "augment = none\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(ds64), "--out", str(out),
+               "--config", cfg, "--quiet"])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: non-finite gradient for 'head.point.bias'"]
+    assert not (out / "last.ckpt").exists()
 
 
 def test_train_missing_data(tmp_path, capsys):

@@ -172,10 +172,18 @@ def test_conv2d_backward_is_adjoint(depthwise, stride):
 def test_prelu_values_and_alpha_guard():
     rng = np.random.Generator(np.random.PCG64(1))
     x = t(rng, 2, 3, 4, 4)
-    alpha = Tensor(np.array([0.1, 0.5, -0.2]).reshape(1, 3, 1, 1))
-    y = prelu(x, alpha).data
-    want = np.where(x.data < 0, alpha.data * x.data, x.data)
-    assert np.array_equal(y, want)
+    x.data[:, :, 1] = 0.0  # exact zeros take the x >= 0 branch
+    alpha = np.array([0.1, 0.5, -0.2]).reshape(1, 3, 1, 1)
+    for dtype in (F64, np.float32):
+        xd = Tensor(x.data.astype(dtype), requires_grad=True)
+        a = Tensor(alpha.astype(dtype), requires_grad=True)
+        y = prelu(xd, a)
+        want = np.where(xd.data < 0, a.data * xd.data, xd.data)
+        assert y.data.dtype == dtype
+        assert np.array_equal(y.data, want)
+        backward(reduce_sum(y))
+        assert np.array_equal(xd.grad.data, np.where(xd.data < 0, a.data,
+                                                     np.ones_like(xd.data)))
     with pytest.raises(ValueError, match="alpha"):
         prelu(x, Tensor.ones((1, 4, 1, 1), dtype=F64))
 

@@ -2,7 +2,6 @@
 implementation, plus report assembly and the throughput probe."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,7 +194,6 @@ class ConstModel:
         self.class_id = class_id
         self.training = True
         self.dtype = np.float32
-        self.config = SimpleNamespace(in_frames=3)
 
     def train(self, flag=True):
         self.training = flag

@@ -30,8 +30,6 @@ def test_config_guards():
         NetworkConfig(stem_channels=15)
     with pytest.raises(ValueError, match="at least one layer"):
         NetworkConfig(ge_layers=(2, 0, 4))
-    with pytest.raises(ValueError, match="downsample_r"):
-        NetworkConfig(downsample_r=0)
 
 
 def test_preset_parameter_budgets():

@@ -11,9 +11,8 @@ import pytest
 from csdn.autodiff import Tensor
 from csdn import serial
 from csdn.model import CSDN, NetworkConfig
-from csdn.serial import (FormatError, _pack_config, load_checkpoint,
-                         load_weights, save_checkpoint, save_weights,
-                         weights_bytes)
+from csdn.serial import (FormatError, load_checkpoint, load_weights,
+                         save_checkpoint, save_weights, weights_bytes)
 from csdn.train import Adam
 
 
@@ -74,13 +73,15 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_bad_version(tmp_path):
-    blob = bytearray(weights_bytes(warmed_net()))
-    struct.pack_into("<H", blob, 4, 9)
-    p = str(tmp_path / "v9.bin")
-    with open(p, "wb") as fh:
-        fh.write(blob)
-    with pytest.raises(FormatError, match="version"):
-        load_weights(p)
+    # version 1 files are rejected on purpose: there is one reader
+    for version in (1, 9):
+        blob = bytearray(weights_bytes(warmed_net()))
+        struct.pack_into("<H", blob, 4, version)
+        p = str(tmp_path / f"v{version}.bin")
+        with open(p, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            load_weights(p)
 
 
 def test_load_rejects_truncated_records(tmp_path):
@@ -92,15 +93,13 @@ def test_load_rejects_truncated_records(tmp_path):
         load_weights(p)
 
 
-def test_load_detects_missing_tensor(tmp_path):
+def test_load_detects_missing_tensor(tmp_path, monkeypatch):
+    # a well-formed file, record count and CRC included, that lacks a tensor
     net = warmed_net()
-    blob = bytearray(weights_bytes(net))
-    count_off = 4 + 2 + len(_pack_config(net.config))
-    n_records, = struct.unpack_from("<I", blob, count_off)
-    struct.pack_into("<I", blob, count_off, n_records - 1)
+    records = list(serial._net_records(net))[:-1]
+    monkeypatch.setattr(serial, "_net_records", lambda _net: iter(records))
     p = str(tmp_path / "short.bin")
-    with open(p, "wb") as fh:
-        fh.write(blob)
+    save_weights(p, net)
     with pytest.raises(FormatError, match="missing tensors"):
         load_weights(p)
 
@@ -163,9 +162,9 @@ def test_checkpoint_truncated_trailer(tmp_path):
 # fresh Adam; a NetworkConfig field change that moves the layout without a
 # VERSION bump shows here
 MICRO_WEIGHTS_SHA256 = \
-    "e46dbcef2e25fc581d30752047c4ab2e3ca83df15f6a844b86ff67de503dbc6a"
+    "6d6029d8f4054b0fde248363429f5a5334ae2bf7f6055ee39fafb7a5c5953124"
 MICRO_CKPT_SHA256 = \
-    "d5a5fd4b3eed8ef9531de64d39333f1d5e842da51c7a9386f86476c13d507f98"
+    "3295de516c16783e0e4a2dad752ab2eb1450d2346b3144bcdb6d5ed945ab2f60"
 
 
 def save_micro_checkpoint(path):
@@ -208,12 +207,8 @@ def test_truncated_files_raise_format_error(tmp_path):
                 load(cut)
 
 
-def test_cut_checkpoint_fails_before_building_a_network(tmp_path,
-                                                        monkeypatch):
-    full = tmp_path / "micro.ckpt"
-    net = save_micro_checkpoint(str(full))
-    ckpt = full.read_bytes()
-    cut = tmp_path / "cut.ckpt"
+def count_builds(monkeypatch):
+    """A list that gets one entry per ``CSDN`` built from now on."""
     builds = []
     orig_init = CSDN.__init__
 
@@ -222,6 +217,16 @@ def test_cut_checkpoint_fails_before_building_a_network(tmp_path,
         orig_init(self, *args, **kwargs)
 
     monkeypatch.setattr(CSDN, "__init__", counting_init)
+    return builds
+
+
+def test_cut_checkpoint_fails_before_building_a_network(tmp_path,
+                                                        monkeypatch):
+    full = tmp_path / "micro.ckpt"
+    net = save_micro_checkpoint(str(full))
+    ckpt = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    builds = count_builds(monkeypatch)
     for n in (len(weights_bytes(net)) + 5, len(ckpt) - 100, len(ckpt) - 1):
         cut.write_bytes(ckpt[:n])
         with pytest.raises(FormatError, match="truncated"):
@@ -229,6 +234,27 @@ def test_cut_checkpoint_fails_before_building_a_network(tmp_path,
     assert builds == []
     load_checkpoint(str(full))
     assert builds == [1]
+
+
+def test_flipped_bits_raise_format_error(tmp_path, monkeypatch):
+    # every bit of the header, config block and first records, plus 400
+    # seeded bits elsewhere, of a weight file and of a checkpoint
+    full = tmp_path / "micro.ckpt"
+    net = save_micro_checkpoint(str(full))
+    bad = tmp_path / "bad.bin"
+    builds = count_builds(monkeypatch)
+    rng = np.random.Generator(np.random.PCG64(17))
+    for blob, load in ((weights_bytes(net), load_weights),
+                       (full.read_bytes(), load_checkpoint)):
+        bits = np.concatenate([np.arange(128 * 8), rng.choice(
+            np.arange(128 * 8, len(blob) * 8), 400, replace=False)])
+        for bit in bits:
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            bad.write_bytes(flipped)
+            with pytest.raises(FormatError):
+                load(str(bad))
+    assert builds == []
 
 
 class FailingFile:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from csdn.autodiff import ParameterStore, Tensor
+from csdn.autodiff import AutodiffError, ParameterStore, Tensor
 from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
 from csdn.phantom import Dataset, generate_dataset
@@ -122,6 +122,31 @@ def test_adam_error_paths():
         opt.load_state({"step": 1,
                         "m": {"p": np.zeros((1, 1, 2, 2))},
                         "v": {"p": np.zeros((1, 1, 2, 2))}})
+
+    # a rejected step changes nothing: checked before the first update
+    shape = (1, 2, 1, 1)
+    a, b = (Tensor(np.full(shape, v), requires_grad=True) for v in (1.0, 2.0))
+    store = ParameterStore([("a", a), ("b", b)])
+    opt = Adam(store)
+    opt.step(grads_for(store, {"a": 0.5, "b": -0.5}), lr=1e-2)
+
+    def state():
+        return [x.data.copy() for x in (a, b)] + [
+            d[n].copy() for d in (opt.m, opt.v) for n in ("a", "b")]
+
+    before = state()
+    fine = np.full(shape, 0.25)
+    for grads, err, match in (
+            ({"a": np.full(shape, np.nan), "b": fine}, AutodiffError,
+             "non-finite gradient for 'a'"),
+            ({"a": fine, "b": np.full(shape, -np.inf)}, AutodiffError,
+             "non-finite gradient for 'b'"),
+            ({"a": fine, "b": np.zeros((2, 1, 1, 1))}, ValueError,
+             "gradient shape")):
+        with pytest.raises(err, match=match):
+            opt.step({n: Tensor(g) for n, g in grads.items()}, lr=1e-2)
+        assert opt.step_count == 1
+        assert all(np.array_equal(u, w) for u, w in zip(before, state()))
 
 
 # -- epoch loop ---------------------------------------------------------------
