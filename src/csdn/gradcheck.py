@@ -64,12 +64,18 @@ def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
     fd("conv2d/input", lambda t: reduce_sum(L.conv2d(t, w, b, 2, 1)), x)
     fd("conv2d/weight", lambda t: reduce_sum(L.conv2d(x, t, b, 2, 1)), w)
     fd("conv2d/bias", lambda t: reduce_sum(L.conv2d(x, w, t, 2, 1)), b)
+    fd("conv2d-s1/input", lambda t: reduce_sum(L.conv2d(t, w, b, 1, 1)), x)
+    fd("conv2d-s1/weight", lambda t: reduce_sum(L.conv2d(x, t, b, 1, 1)), w)
 
     dw = _t(rng, 4, 1, 3, 3)
     fd("depthwise/input",
        lambda t: reduce_sum(L.conv2d(t, dw, None, 1, 1, groups=4)), x)
     fd("depthwise/weight",
        lambda t: reduce_sum(L.conv2d(x, t, None, 1, 1, groups=4)), dw)
+    fd("depthwise-s2/input",
+       lambda t: reduce_sum(L.conv2d(t, dw, None, 2, 1, groups=4)), x)
+    fd("depthwise-s2/weight",
+       lambda t: reduce_sum(L.conv2d(x, t, None, 2, 1, groups=4)), dw)
 
     gamma = Tensor(rng.uniform(0.5, 1.5, (1, 4, 1, 1)), dtype=np.float64)
     beta = _t(rng, 1, 4, 1, 1)
@@ -95,6 +101,14 @@ def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
     alpha = Tensor(rng.uniform(0.1, 0.5, (1, 4, 1, 1)), dtype=np.float64)
     fd("prelu/input", lambda t: reduce_sum(L.prelu(t, alpha)), x)
     fd("prelu/alpha", lambda t: reduce_sum(L.prelu(x, t)), alpha)
+
+    def bn_prelu(t=x, g=gamma, bb=beta, a=alpha):
+        return reduce_sum(L.batchnorm_prelu_train(t, g, bb, a, 1e-5)[0])
+
+    fd("bn-prelu-train/input", bn_prelu, x)
+    fd("bn-prelu-train/gamma", lambda t: bn_prelu(g=t), gamma)
+    fd("bn-prelu-train/beta", lambda t: bn_prelu(bb=t), beta)
+    fd("bn-prelu-train/alpha", lambda t: bn_prelu(a=t), alpha)
 
     fd("sigmoid", lambda t: reduce_sum(L.sigmoid(t)), _t(rng, 1, 2, 5, 5))
     fd("max-pool", lambda t: reduce_sum(L.pool2d("max", t, 3, 2, 1)),

@@ -1,13 +1,17 @@
 """Differentiable layer kernels on the rank-4 tensor type.
 
-Dense convolution runs as a channel-major im2col (one strided copy per
-kernel tap) and one GEMM per image whose output is already NCHW; depthwise
-convolution and pooling run as k*k strided-slice sweeps. Resize applies
-cached per-axis interpolation matrices with broadcast matmul, so the
-backward pass is the transposed product; the exact half-size bicubic of
-the network's front end runs forward as its fixed 4-tap filter instead.
-Convolution is cross-correlation; padding is zeros (max pooling pads with
--inf and average pooling counts only in-bounds elements).
+Dense convolution runs as a channel-major im2col (one copy per kernel tap)
+and one GEMM per image whose output is already NCHW; depthwise
+convolution and pooling run as k*k shifted-slice sweeps. A stride-1
+convolution reads its taps from one flat zero-padded buffer, where each
+tap is a contiguous slice; a strided one reads strided views of the
+padded map, and its input gradient scatters the taps back (col2im).
+Resize applies cached per-axis interpolation matrices with broadcast
+matmul, so the backward pass is the transposed product; the exact
+half-size bicubic of the network's front end runs forward as its fixed
+4-tap filter instead. Convolution is cross-correlation; padding is zeros
+(max pooling pads with -inf and average pooling counts only in-bounds
+elements).
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import numpy as np
 from .autodiff import AutodiffError, Module, Tensor, record
 
 __all__ = [
-    "conv2d", "batchnorm2d_infer", "prelu", "sigmoid", "pool2d",
-    "global_avg_pool", "resize", "pixel_shuffle", "pixel_unshuffle",
-    "concat_channels", "Conv2d", "BatchNorm2d", "PReLU",
+    "conv2d", "batchnorm2d_infer", "batchnorm_prelu_train", "prelu",
+    "sigmoid", "pool2d", "global_avg_pool", "resize", "pixel_shuffle",
+    "pixel_unshuffle", "concat_channels", "Conv2d", "BatchNorm2d", "PReLU",
 ]
 
 
@@ -35,27 +39,6 @@ def _out_size(n: int, k: int, s: int, p: int) -> int:
     return o
 
 
-def _grad_canvas(g: np.ndarray, kh, kw, sh, sw, ph, pw, h, w) -> np.ndarray:
-    """Stride-dilate the output gradient and zero-pad it so a stride-1
-    correlation with the flipped kernel yields the input gradient.
-
-    Pad is (k-1-p) on the leading edge and (k-1-p) + r on the trailing edge,
-    r being the input rows the forward stride never reached.
-    """
-    n, c, oh, ow = g.shape
-    rh = (h + 2 * ph - kh) - (oh - 1) * sh
-    rw = (w + 2 * pw - kw) - (ow - 1) * sw
-    top, left = kh - 1 - ph, kw - 1 - pw
-    if top < 0 or left < 0:
-        raise ValueError(f"padding {ph, pw} exceeds kernel-1 {kh - 1, kw - 1}")
-    dh = (oh - 1) * sh + 1
-    dw = (ow - 1) * sw + 1
-    canvas = np.zeros((n, c, top + dh + top + rh, left + dw + left + rw),
-                      dtype=g.dtype)
-    canvas[:, :, top:top + dh:sh, left:left + dw:sw] = g
-    return canvas
-
-
 def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow):
     """(i, j, view) per kernel tap: the (n, c, oh, ow) strided slice of a
     padded map that tap (i, j) reads."""
@@ -64,44 +47,111 @@ def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow):
             yield i, j, xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
 
 
-def _conv_dense_fwd(xp, w, sh, sw, oh, ow):
+def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int) -> tuple[np.ndarray, int]:
+    """Zero-pad (n, c, h, w) into a flat (n, c, (h+2ph+1) * wp) buffer with
+    row length wp = w + 2pw; returns (buffer, wp). The spare row keeps the
+    last stride-1 tap in bounds. A 1-wide kernel with no padding reads x
+    itself, flattened."""
+    n, c, h, w = x.shape
+    if not (ph or pw) and kw == 1:
+        return x.reshape(n, c, h * w), w
+    hp, wp = h + 2 * ph, w + 2 * pw
+    flat = np.zeros((n, c, (hp + 1) * wp), dtype=x.dtype)
+    flat.reshape(n, c, hp + 1, wp)[:, :, ph:ph + h, pw:pw + w] = x
+    return flat, wp
+
+
+def _flat_taps(flat: np.ndarray, kh, kw, wp, oh):
+    """(i, j, view) per stride-1 tap of a ``_flat_pad`` buffer: the
+    contiguous slice from i*wp + j, seen as (n, c, oh, wp). Its last
+    wp - ow columns wrap into the next row; callers crop them once."""
+    n, c = flat.shape[:2]
+    for i in range(kh):
+        for j in range(kw):
+            s = i * wp + j
+            yield i, j, flat[:, :, s:s + oh * wp].reshape(n, c, oh, wp)
+
+
+def _im2col_gemm(taps, w, n, oh, ow, dtype):
     """Dense correlation as one GEMM per image over channel-major columns.
 
-    cols is (n, c*kh*kw, oh*ow), filled with one strided copy per tap, so
-    w.reshape(c_out, -1) @ cols is already NCHW.
-    """
-    n, c = xp.shape[:2]
-    c_out, _, kh, kw = w.shape
-    if (kh, kw, sh, sw) == (1, 1, 1, 1):
-        cols = xp.reshape(n, c, oh * ow)
-    else:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-        for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
-            cols[:, :, i, j] = tap
-        cols = cols.reshape(n, c * kh * kw, oh * ow)
+    cols is (n, c*kh*kw, oh*ow), filled with one copy per tap, so
+    w.reshape(c_out, -1) @ cols is already NCHW."""
+    c_out, c, kh, kw = w.shape
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=dtype)
+    for i, j, tap in taps:
+        cols[:, :, i, j] = tap
+    cols = cols.reshape(n, c * kh * kw, oh * ow)
     out = np.matmul(w.reshape(c_out, -1), cols)
     return out.reshape(n, c_out, oh, ow), cols
 
 
-def _conv_depthwise_fwd(xp, w, sh, sw, oh, ow):
+def _depthwise(taps, w, shape, dtype):
     """Depthwise correlation as k*k shifted multiply-accumulates:
-    sum over taps (i, j) of xp[:, :, i::sh, j::sw] * w[:, i, j], w (c, kh, kw)."""
-    c, kh, kw = w.shape
-    out = np.zeros((xp.shape[0], c, oh, ow), dtype=np.result_type(xp, w))
+    sum over taps (i, j) of tap * w[:, i, j], w (c, kh, kw)."""
+    out = np.zeros(shape, dtype=dtype)
     tmp = np.empty_like(out)
-    for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
-        out += np.multiply(tap, w[:, i, j].reshape(1, c, 1, 1), out=tmp)
+    for i, j, tap in taps:
+        out += np.multiply(tap, w[:, i, j, None, None], out=tmp)
     return out
+
+
+def _corr_s1(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
+             depthwise: bool):
+    """Stride-1 correlation of x with w (dense (c_out, c, kh, kw) or
+    depthwise (c, kh, kw)) through a flat padded buffer.
+
+    Returns (out, cache): cache is the dense columns or the flat buffer,
+    both laid out over wp-wide rows, which the weight gradient reuses."""
+    n, _, h, w_ = x.shape
+    kh, kw = w.shape[-2:]
+    oh, ow = h + 2 * ph - kh + 1, w_ + 2 * pw - kw + 1
+    flat, wp = _flat_pad(x, ph, pw, kw)
+    if depthwise:
+        out = _depthwise(_flat_taps(flat, kh, kw, wp, oh), w,
+                         (n, w.shape[0], oh, wp), np.result_type(x, w))
+        cache = flat
+    elif (kh, kw) == (1, 1):
+        cache = flat[:, :, :oh * wp]
+        out = np.matmul(w.reshape(w.shape[0], -1), cache)
+        out = out.reshape(n, w.shape[0], oh, wp)
+    else:
+        out, cache = _im2col_gemm(_flat_taps(flat, kh, kw, wp, oh), w, n,
+                                  oh, wp, x.dtype)
+    return np.ascontiguousarray(out[:, :, :, :ow]), cache
+
+
+def _col2im(g: np.ndarray, w: np.ndarray, hp: int, wp: int, sh: int,
+            sw: int, depthwise: bool) -> np.ndarray:
+    """Input gradient of a strided correlation, on the (hp, wp) padded map:
+    each tap's share of g is added back where that tap read (col2im).
+    Dense shares come from one GEMM, w^T @ g; depthwise ones are g * w."""
+    n, c_out, oh, ow = g.shape
+    kh, kw = w.shape[-2:]
+    c = c_out if depthwise else w.shape[1]
+    gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+    taps = _taps(gxp, kh, kw, sh, sw, oh, ow)
+    if depthwise:
+        tmp = np.empty_like(g)
+        for i, j, tap in taps:
+            tap += np.multiply(g, w[:, i, j, None, None], out=tmp)
+    else:
+        gcols = np.matmul(w.reshape(c_out, -1).T, g.reshape(n, c_out, oh * ow))
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+        for i, j, tap in taps:
+            tap += gcols[:, :, i, j]
+    return gxp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, padding=0, groups: int = 1) -> Tensor:
-    """2-d cross-correlation. groups is 1 (dense) or in_channels (depthwise)."""
+    """2-d cross-correlation. groups is 1 (dense) or in_channels > 1
+    (depthwise)."""
     sh, sw = _pair(stride)
     ph, pw = _pair(padding)
     n, c, h, w = x.shape
     c_out, c_in_g, kh, kw = weight.shape
-    depthwise = groups == c
+    depthwise = groups > 1 and groups == c
     if groups != 1 and not depthwise:
         raise ValueError(f"groups must be 1 or in_channels, got {groups} for {c} channels")
     if depthwise:
@@ -114,15 +164,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     oh = _out_size(h, kh, sh, ph)
     ow = _out_size(w, kw, sw, pw)
 
-    xp = x.data
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     w_data = weight.data
-    if depthwise:
-        out_data = _conv_depthwise_fwd(xp, w_data[:, 0], sh, sw, oh, ow)
-        cols = None
+    w_eff = w_data[:, 0] if depthwise else w_data
+    stride1 = (sh, sw) == (1, 1)
+    if stride1:
+        out_data, cache = _corr_s1(x.data, w_eff, ph, pw, depthwise)
+        wp = w + 2 * pw
     else:
-        out_data, cols = _conv_dense_fwd(xp, w_data, sh, sw, oh, ow)
+        xp = x.data
+        if ph or pw:
+            xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        taps = _taps(xp, kh, kw, sh, sw, oh, ow)
+        if depthwise:
+            out_data = _depthwise(taps, w_eff, (n, c, oh, ow),
+                                  np.result_type(xp, w_data))
+            cache = xp
+        else:
+            out_data, cache = _im2col_gemm(taps, w_data, n, oh, ow, xp.dtype)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -130,21 +188,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        canvas = _grad_canvas(g, kh, kw, sh, sw, ph, pw, h, w)
-        if depthwise:
-            gw = np.empty_like(w_data)
-            tmp = np.empty_like(g)
-            for i, j, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
-                gw[:, 0, i, j] = np.multiply(g, tap, out=tmp).sum(axis=(0, 2, 3))
-            gx = _conv_depthwise_fwd(canvas, w_data[:, 0, ::-1, ::-1],
-                                     1, 1, h, w)
+        gz = g
+        if stride1:
+            if kh - 1 - ph < 0 or kw - 1 - pw < 0:
+                raise ValueError(f"padding {ph, pw} exceeds kernel-1 "
+                                 f"{kh - 1, kw - 1}")
+            # correlation with the flipped kernel, padded by k-1-p
+            w_flip = w_eff[..., ::-1, ::-1]
+            if not depthwise:
+                w_flip = np.ascontiguousarray(w_flip.transpose(1, 0, 2, 3))
+            gx, _ = _corr_s1(g, w_flip, kh - 1 - ph, kw - 1 - pw, depthwise)
+            # the cache spans wp-wide rows: zero g over the wrapped columns
+            if wp != ow:
+                gz = np.zeros((n, c_out, oh, wp), dtype=g.dtype)
+                gz[:, :, :, :ow] = g
         else:
-            gm = g.reshape(n, c_out, oh * ow)
-            gw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(
-                w_data.shape)
-            wt = np.ascontiguousarray(
-                w_data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            gx, _ = _conv_dense_fwd(canvas, wt, 1, 1, h, w)
+            gxp = _col2im(g, w_eff, h + 2 * ph, w + 2 * pw, sh, sw, depthwise)
+            gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
+        if depthwise:
+            taps = (_flat_taps(cache, kh, kw, wp, oh) if stride1
+                    else _taps(cache, kh, kw, sh, sw, oh, ow))
+            gw = np.empty_like(w_data)
+            for i, j, tap in taps:
+                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", gz, tap)
+        else:
+            gw = np.matmul(gz.reshape(n, c_out, -1), cache.transpose(0, 2, 1))
+            gw = gw.sum(axis=0).reshape(w_data.shape)
         grads = [gx, gw]
         if has_bias:
             grads.append(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
@@ -418,15 +487,20 @@ def batchnorm2d_infer(x: Tensor, gamma: Tensor, beta: Tensor,
     return record(out, [x, gamma, beta], bwd, "batchnorm_eval")
 
 
-def _batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple:
+def _batch_stats(x: Tensor) -> tuple[int, np.ndarray, np.ndarray]:
     n, c, h, w = x.shape
     m = n * h * w
     if m < 2:
         raise ValueError(f"batchnorm train mode needs n*h*w >= 2, got {m}")
     mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+    return m, mean, x.data - mean
+
+
+def _batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple:
+    m, mean, centered = _batch_stats(x)
     var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
     invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * invstd
+    xhat = centered * invstd
     out = Tensor(gamma.data * xhat + beta.data)
     g_data = gamma.data
 
@@ -437,6 +511,61 @@ def _batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tupl
         return gx, sgx.reshape(gamma.shape), sg.reshape(beta.shape)
 
     y = record(out, [x, gamma, beta], bwd, "batchnorm_train")
+    return y, mean.reshape(-1), var.reshape(-1)
+
+
+def batchnorm_prelu_train(x: Tensor, gamma: Tensor, beta: Tensor,
+                          alpha: Tensor, eps: float) -> tuple:
+    """Training-mode batch norm, then PReLU, as one recorded op; returns
+    (output, batch mean, biased batch variance) as ``_batchnorm_train``.
+
+    The node keeps only xhat. The backward recomputes the norm's output
+    y = gamma * xhat + beta for the PReLU's sign and alpha gradient, so
+    the activation is never inverted and alpha may be 0. Every value,
+    gradient and statistic follows the same float operations as
+    ``_batchnorm_train`` followed by ``prelu``."""
+    if alpha.shape != (1, x.shape[1], 1, 1):
+        raise ValueError(f"alpha shape {alpha.shape} != (1,{x.shape[1]},1,1)")
+    m, mean, xhat = _batch_stats(x)
+    y = np.multiply(xhat, xhat)
+    # np.var's float steps on the centred map this op already holds
+    var = y.sum(axis=(0, 2, 3), keepdims=True) / m
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat *= invstd
+    g_data, b_data, a_data = gamma.data, beta.data, alpha.data
+    np.multiply(xhat, g_data, out=y)
+    y += b_data
+    neg = np.minimum(y, 0)
+    neg *= a_data
+    np.maximum(y, 0, out=y)
+    y += neg
+    out = Tensor(y)
+
+    def bwd(g):
+        buf = np.multiply(xhat, g_data)
+        buf += b_data
+        neg = buf < 0
+        np.minimum(buf, 0, out=buf)
+        buf *= g
+        galpha = buf.sum(axis=(0, 2, 3))
+        # the PReLU slope, alpha where y < 0 and 1 elsewhere, built without
+        # branches: np.where on a data-dependent mask is several times slower
+        gy = np.multiply(neg, a_data, out=buf)
+        gy += ~neg
+        gy *= g
+        sg = gy.sum(axis=(0, 2, 3), keepdims=True)
+        buf = np.empty_like(gy)
+        np.multiply(gy, xhat, out=buf)
+        sgx = buf.sum(axis=(0, 2, 3), keepdims=True)
+        np.multiply(xhat, sgx, out=buf)
+        gy *= m
+        gy -= sg
+        gy -= buf
+        gy *= g_data * invstd / m
+        return (gy, sgx.reshape(gamma.shape), sg.reshape(beta.shape),
+                galpha.reshape(alpha.shape))
+
+    y = record(out, [x, gamma, beta, alpha], bwd, "batchnorm_prelu_train")
     return y, mean.reshape(-1), var.reshape(-1)
 
 
@@ -494,13 +623,7 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
             y, mean, var = _batchnorm_train(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
-            rm = self.running_mean.data.reshape(-1)
-            rv = self.running_var.data.reshape(-1)
-            rm *= 1.0 - m
-            rm += m * mean.astype(rm.dtype)
-            rv *= 1.0 - m
-            rv += m * var.astype(rv.dtype)
+            self.update_running(mean, var)
             return y
         self._check_running_var()
         return batchnorm2d_infer(x, self.gamma, self.beta,
@@ -508,6 +631,17 @@ class BatchNorm2d(Module):
                                  self.running_var.data, self.eps)
 
     __call__ = forward
+
+    def update_running(self, mean: np.ndarray, var: np.ndarray):
+        """Fold one batch's mean and biased variance into the running
+        statistics with weight ``momentum``."""
+        m = self.momentum
+        rm = self.running_mean.data.reshape(-1)
+        rv = self.running_var.data.reshape(-1)
+        rm *= 1.0 - m
+        rm += m * mean.astype(rm.dtype)
+        rv *= 1.0 - m
+        rv += m * var.astype(rv.dtype)
 
     def _check_running_var(self):
         if (self.running_var.data <= 0).any():

@@ -11,7 +11,7 @@ auxiliary heads on the deep branch's intermediate taps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,10 +41,15 @@ class NetworkConfig:
     aux_channels: int = 40
 
     def __post_init__(self):
-        if self.stem_channels % 2:
-            raise ValueError("stem_channels must be even (half-width branch)")
         if any(l < 1 for l in self.ge_layers):
             raise ValueError("each stage needs at least one layer")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {value}")
+        if self.stem_channels < 2 or self.stem_channels % 2:
+            raise ValueError("stem_channels must be even and at least 2 "
+                             "(half-width branch)")
 
     @staticmethod
     def reference() -> "NetworkConfig":
@@ -87,10 +92,12 @@ class ConvBNAct(Module):
     """conv -> batch norm -> optional PReLU. Conv carries no bias (the BN
     shift absorbs it).
 
-    An eval-mode forward that records no graph folds the BN into the conv:
-    one conv with weight * scale and bias shift, where (scale, shift) is
-    the BN's eval affine map, recomputed on every call so nothing goes
-    stale. With recording on, conv and BN run apart and stay the oracle.
+    A training-mode forward with an activation runs BN and PReLU as one
+    recorded op (``layers.batchnorm_prelu_train``). An eval-mode forward
+    that records no graph folds the BN into the conv: one conv with
+    weight * scale and bias shift, where (scale, shift) is the BN's eval
+    affine map, recomputed on every call so nothing goes stale. Otherwise
+    conv, BN and PReLU run apart and stay the oracle.
     """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, padding=1, groups=1,
@@ -102,6 +109,12 @@ class ConvBNAct(Module):
         self.act = PReLU(out_c, dtype=dtype) if act else None
 
     def __call__(self, x):
+        if self.training and self.act is not None:
+            bn = self.bn
+            y, mean, var = layers.batchnorm_prelu_train(
+                self.conv(x), bn.gamma, bn.beta, self.act.alpha, bn.eps)
+            bn.update_running(mean, var)
+            return y
         if self.training or grad_enabled():
             y = self.bn(self.conv(x))
         else:

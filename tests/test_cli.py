@@ -3,6 +3,7 @@ trail each subcommand leaves behind. Everything runs in-process through
 main(argv) so stdout/stderr land in capsys."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -319,9 +320,35 @@ def test_gradcheck_micro(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("line", ["fusion_channels = 0", "ge_expansion = 0",
+                                  "shallow_channels = 3,4,0",
+                                  "stem_channels = -2"])
+def test_config_rejects_widths_below_one(tmp_path, capsys, line):
+    key = line.split()[0]
+    cfg = write_cfg(tmp_path, f"preset = micro\n{line}\n")
+    rc = main(["gradcheck", "--config", cfg])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+def test_gradcheck_one_channel_dense_conv(tmp_path, capsys):
+    # a dense 3x3 conv from one input channel is not depthwise
+    cfg = write_cfg(tmp_path, "preset = micro\nshallow_channels = 1,4,4\n")
+    rc = main(["gradcheck", "--config", cfg])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS  overall" in out and "FAIL" not in out
+
+
 def test_console_script_help():
+    # the child imports the package from the source tree
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "csdn", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     for word in ("gen-data", "train", "eval", "infer", "bench", "gradcheck"):
         assert word in proc.stdout

@@ -72,6 +72,14 @@ def test_ops_sweep_passes():
     assert any("conv2d" in n for n in names)
     assert any("focal" in n for n in names)
     assert any("batchnorm" in n for n in names)
+    # the fused training op beside its unfused oracle, and both strides of
+    # the dense and depthwise conv paths
+    for name in ("bn-prelu-train/input", "bn-prelu-train/gamma",
+                 "bn-prelu-train/beta", "bn-prelu-train/alpha",
+                 "batchnorm-train/input", "conv2d/input", "conv2d-s1/input",
+                 "conv2d-s1/weight", "depthwise/input", "depthwise-s2/input",
+                 "depthwise-s2/weight"):
+        assert name in names, name
 
 
 def test_block_sweep_passes():

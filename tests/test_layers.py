@@ -8,9 +8,10 @@ from scipy.signal import correlate2d
 from csdn.autodiff import AutodiffError, Tensor, backward, reduce_sum
 from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _batchnorm_train,
                          _out_size, _resize_matrix, batchnorm2d_infer,
-                         concat_channels, conv2d, global_avg_pool, he_uniform,
+                         batchnorm_prelu_train, concat_channels, conv2d, global_avg_pool, he_uniform,
                          pixel_shuffle, pixel_unshuffle, pool2d, prelu,
                          resize, sigmoid)
+from csdn.model import ConvBNAct
 
 F64 = np.float64
 
@@ -42,13 +43,15 @@ def conv_oracle(x, w, b, stride, padding):
 
 
 def test_conv2d_matches_scipy():
-    for seed in range(8):
+    # seeds 8 and 9 are dense convs from one input channel (groups=1)
+    for seed in range(10):
         rng = np.random.Generator(np.random.PCG64(seed))
         stride = int(rng.integers(1, 3))
         padding = int(rng.integers(0, 2))
         k = int(rng.integers(1, 4))
-        x = t(rng, 2, 3, 7, 8)
-        w = t(rng, 4, 3, k, k)
+        c = 1 if seed >= 8 else 3
+        x = t(rng, 2, c, 7, 8)
+        w = t(rng, 4, c, k, k)
         b = t(rng, 1, 4, 1, 1)
         got = conv2d(x, w, b, stride=stride, padding=padding)
         want = conv_oracle(x.data, w.data, b.data, stride, padding)
@@ -164,6 +167,72 @@ def test_conv2d_backward_is_adjoint(depthwise, stride):
         inner = float(np.vdot(g, out.data))
         assert np.isclose(np.vdot(x.grad, x.data), inner, rtol=1e-12)
         assert np.isclose(np.vdot(w.grad, w.data), inner, rtol=1e-12)
+
+
+def canvas_input_grad(g, w, stride, padding, h, w_, depthwise):
+    """The input gradient as a stride-1 correlation: dilate g by the stride
+    onto a zero canvas padded by k-1-p (plus the rows and columns the
+    stride never reached) and correlate with the flipped kernel."""
+    n, c_out, oh, ow = g.shape
+    kh, kw = w.shape[2:]
+    top, left = kh - 1 - padding, kw - 1 - padding
+    rh = (h + 2 * padding - kh) - (oh - 1) * stride
+    rw = (w_ + 2 * padding - kw) - (ow - 1) * stride
+    dh, dw = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    canvas = np.zeros((n, c_out, 2 * top + dh + rh, 2 * left + dw + rw))
+    canvas[:, :, top:top + dh:stride, left:left + dw:stride] = g
+    flip = w[:, :, ::-1, ::-1]
+    c = c_out if depthwise else w.shape[1]
+    out = np.zeros((n, c, h, w_))
+    for i in range(kh):
+        for j in range(kw):
+            win = canvas[:, :, i:i + h, j:j + w_]
+            if depthwise:
+                out += win * flip[:, 0, i, j].reshape(1, c, 1, 1)
+            else:
+                out += np.einsum("nohw,oc->nchw", win, flip[:, :, i, j])
+    return out
+
+
+@pytest.mark.parametrize("depthwise", [False, True])
+def test_col2im_input_gradient_matches_dilated_canvas(depthwise):
+    rng = np.random.Generator(np.random.PCG64(80))
+    for h, w_ in ((9, 8), (8, 8), (7, 9)):
+        for padding in (0, 1):
+            x = t(rng, 2, 4, h, w_, grad=True)
+            w = t(rng, 4, 1, 3, 3) if depthwise else t(rng, 5, 4, 3, 3)
+            out = conv2d(x, w, None, stride=2, padding=padding,
+                         groups=4 if depthwise else 1)
+            g = rng.normal(size=out.shape)
+            backward(reduce_sum(out * Tensor(g)))
+            want = canvas_input_grad(g, w.data, 2, padding, h, w_, depthwise)
+            assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def strided_depthwise(x, w, padding):
+    # the strided-tap loop: zero-init, then += tap * w per tap in (i, j) order
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    c, _, kh, kw = w.shape
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], c, oh, ow), dtype=x.dtype)
+    tmp = np.empty_like(out)
+    for i in range(kh):
+        for j in range(kw):
+            out += np.multiply(xp[:, :, i:i + oh, j:j + ow],
+                               w[:, 0, i, j].reshape(1, c, 1, 1), out=tmp)
+    return out
+
+
+def test_flat_depthwise_is_bit_identical_to_strided_taps():
+    rng = np.random.Generator(np.random.PCG64(81))
+    for shape, padding in (((2, 6, 9, 7), 1), ((3, 4, 8, 8), 0),
+                           ((1, 5, 16, 12), 1)):
+        x = rng.normal(size=shape).astype(np.float32)
+        w = rng.normal(size=(shape[1], 1, 3, 3)).astype(np.float32)
+        got = conv2d(Tensor(x), Tensor(w), None, stride=1, padding=padding,
+                     groups=shape[1]).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got, strided_depthwise(x, w, padding))
 
 
 # -- activations --------------------------------------------------------------
@@ -461,6 +530,77 @@ def test_batchnorm_infer_matches_formula():
     y = batchnorm2d_infer(x, g, b, mean, var, 1e-5)
     want = g.data * (x.data - mean) / np.sqrt(var + 1e-5) + b.data
     assert np.allclose(y.data, want, atol=1e-12)
+
+
+def _fused_and_chain(x, gamma, beta, alpha, g):
+    """Output, batch statistics and the four gradients of the fused op and
+    of ``_batchnorm_train`` + ``prelu``, each under the cotangent g."""
+    results = []
+    for fused in (True, False):
+        ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gamma, beta, alpha)]
+        if fused:
+            y, mean, var = batchnorm_prelu_train(*ts, 1e-5)
+        else:
+            z, mean, var = _batchnorm_train(*ts[:3], 1e-5)
+            y = prelu(z, ts[3])
+        backward(reduce_sum(y * Tensor(g)))
+        results.append([y.data, mean, var] + [v.grad for v in ts])
+    return results
+
+
+def test_fused_bn_prelu_matches_unfused_chain():
+    rng = np.random.Generator(np.random.PCG64(82))
+    for shape in ((4, 3, 6, 5), (2, 4, 1, 1), (1, 2, 1, 2)):
+        c = shape[1]
+        x = rng.normal(1.0, 2.0, size=shape)
+        gamma = rng.normal(size=(1, c, 1, 1))
+        gamma[0, 0] = -abs(gamma[0, 0])  # a negative scale flips the signs
+        beta = rng.normal(size=(1, c, 1, 1))
+        alpha = rng.uniform(0.1, 0.5, size=(1, c, 1, 1))
+        alpha[0, 1] = 0.0  # a dead slope: gradient 0 below, never inverted
+        g = rng.normal(size=shape)
+        fused, chain = _fused_and_chain(x, gamma, beta, alpha, g)
+        for name, a, b in zip(("out", "mean", "var", "x", "gamma", "beta",
+                               "alpha"), fused, chain):
+            assert a.shape == b.shape, name
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+
+
+def test_fused_bn_prelu_guards():
+    one = Tensor.ones((1, 3, 1, 1), dtype=F64)
+    with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
+        batchnorm_prelu_train(one, one, one, one, 1e-5)
+    with pytest.raises(ValueError, match="alpha"):
+        batchnorm_prelu_train(Tensor.ones((2, 3, 2, 2), dtype=F64), one, one,
+                              Tensor.ones((1, 4, 1, 1), dtype=F64), 1e-5)
+
+
+def test_conv_bn_act_training_matches_unfused_modules():
+    # the fused ConvBNAct forward against conv, BatchNorm2d and PReLU run
+    # apart: output, every gradient and both running statistics
+    rng = np.random.Generator(np.random.PCG64(83))
+    x = rng.normal(size=(3, 4, 6, 6))
+    g = rng.normal(size=(3, 5, 6, 6))
+    mods = []
+    for fused in (True, False):
+        m = ConvBNAct(4, 5, rng=np.random.Generator(np.random.PCG64(1)),
+                      dtype=F64)
+        m.bn.gamma.data[0, 2] = -0.7
+        m.act.alpha.data[0, 3] = 0.0
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = m(xt) if fused else m.act(m.bn(m.conv(xt)))
+        backward(reduce_sum(y * Tensor(g)))
+        mods.append((m, xt, y))
+    (fm, fx, fy), (um, ux, uy) = mods
+    pairs = [(fy.data, uy.data), (fx.grad, ux.grad)]
+    pairs += [(a.grad, b.grad) for (_, a), (_, b) in
+              zip(fm.named_parameters(), um.named_parameters())]
+    pairs += [(a.data, b.data) for (_, a), (_, b) in
+              zip(fm.named_buffers(), um.named_buffers())]
+    assert len(pairs) == 2 + 4 + 2
+    for a, b in pairs:
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+    assert not np.array_equal(fm.bn.running_mean.data, 0.0)
 
 
 # -- modules and init ---------------------------------------------------------

@@ -1,11 +1,14 @@
 """Optimizer arithmetic, the learning-rate staircase, epoch loop logging,
-checkpoint/resume equivalence."""
+checkpoint/resume equivalence, and a training step's page faults."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import csdn
 from csdn.autodiff import AutodiffError, ParameterStore, Tensor
 from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
@@ -256,3 +259,51 @@ def test_resume_without_optimizer_state_warns(small_ds, tmp_path, capsys):
     logs = resume(p, small_ds, micro_cfg(), LossConfig(), quiet=True)
     assert "fresh moments" in capsys.readouterr().out
     assert [e.epoch for e in logs] == [1]
+
+
+# -- heap ---------------------------------------------------------------------
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from csdn.autodiff import Tensor, backward
+from csdn.losses import LossConfig, hybrid_loss
+from csdn.model import CSDN, NetworkConfig
+from csdn.phantom import batches, generate_phantom
+from csdn.train import Adam
+
+net = CSDN(NetworkConfig.desk(), seed=0)
+store = net.parameter_store()
+opt = Adam(store)
+samples = [generate_phantom(s, 128, sample_id=f"s{s}") for s in range(8)]
+frames, labels = next(batches(samples, 8, 0, None))
+x = Tensor(frames.astype(np.float32))
+
+def step():
+    loss = hybrid_loss(net(x), labels, LossConfig())
+    store.zero_grad()
+    opt.step(backward(loss, store), 1e-3)
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not csdn.STEADY_HEAP, reason="glibc mallopt unavailable")
+def test_desk_steps_stop_faulting_after_warm_up():
+    # With fixed malloc thresholds a step reuses the heap pages of the step
+    # before it instead of mapping and faulting in fresh ones. A fresh
+    # interpreter keeps the small-object arenas that earlier tests leave
+    # behind out of the count.
+    src = os.path.dirname(os.path.dirname(csdn.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults <= 64, faults
