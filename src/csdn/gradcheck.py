@@ -80,35 +80,25 @@ def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
     gamma = Tensor(rng.uniform(0.5, 1.5, (1, 4, 1, 1)), dtype=np.float64)
     beta = _t(rng, 1, 4, 1, 1)
 
-    def bn_train(t, g=gamma, bb=beta):
-        y = L._batchnorm_train(t, g, bb, 1e-5)[0]
-        return reduce_sum(L.prelu(y, Tensor(
-            np.full((1, 4, 1, 1), 0.25), dtype=np.float64)))
-
-    fd("batchnorm-train/input", bn_train, x)
-    fd("batchnorm-train/gamma", lambda t: bn_train(x, g=t), gamma)
-    fd("batchnorm-train/beta", lambda t: bn_train(x, bb=t), beta)
-
-    rmean = rng.normal(size=(1, 4, 1, 1))
-    rvar = rng.uniform(0.5, 2.0, (1, 4, 1, 1))
-    fd("batchnorm-eval/input",
-       lambda t: reduce_sum(L.batchnorm2d_infer(t, gamma, beta, rmean, rvar,
-                                                1e-5)), x)
-    fd("batchnorm-eval/gamma",
-       lambda t: reduce_sum(L.batchnorm2d_infer(x, t, beta, rmean, rvar,
-                                                1e-5)), gamma)
-
+    stats = (rng.normal(size=(1, 4, 1, 1)), rng.uniform(0.5, 2.0, (1, 4, 1, 1)))
     alpha = Tensor(rng.uniform(0.1, 0.5, (1, 4, 1, 1)), dtype=np.float64)
     fd("prelu/input", lambda t: reduce_sum(L.prelu(t, alpha)), x)
     fd("prelu/alpha", lambda t: reduce_sum(L.prelu(x, t)), alpha)
 
-    def bn_prelu(t=x, g=gamma, bb=beta, a=alpha):
-        return reduce_sum(L.batchnorm_prelu_train(t, g, bb, a, 1e-5)[0])
+    # batch norm with and without its PReLU, batch and frozen statistics;
+    # the sigmoid readout, since a plain sum of a training-mode norm is
+    # flat in its input and gamma
+    for mode, args, st in (("batchnorm-train", [x, gamma, beta, None], None),
+                           ("bn-prelu-train", [x, gamma, beta, alpha], None),
+                           ("batchnorm-eval", [x, gamma, beta, alpha], stats)):
+        for i, part in enumerate(("input", "gamma", "beta", "alpha")):
+            if args[i] is None:
+                continue
 
-    fd("bn-prelu-train/input", bn_prelu, x)
-    fd("bn-prelu-train/gamma", lambda t: bn_prelu(g=t), gamma)
-    fd("bn-prelu-train/beta", lambda t: bn_prelu(bb=t), beta)
-    fd("bn-prelu-train/alpha", lambda t: bn_prelu(a=t), alpha)
+            def bn(t, i=i, args=args, st=st):
+                probe = args[:i] + [t] + args[i + 1:]
+                return reduce_sum(L.sigmoid(L.batchnorm(*probe, 1e-5, st)[0]))
+            fd(f"{mode}/{part}", bn, args[i])
 
     fd("sigmoid", lambda t: reduce_sum(L.sigmoid(t)), _t(rng, 1, 2, 5, 5))
     fd("max-pool", lambda t: reduce_sum(L.pool2d("max", t, 3, 2, 1)),

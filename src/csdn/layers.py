@@ -21,9 +21,9 @@ import numpy as np
 from .autodiff import AutodiffError, Module, Tensor, record
 
 __all__ = [
-    "conv2d", "batchnorm2d_infer", "batchnorm_prelu_train", "prelu",
-    "sigmoid", "pool2d", "global_avg_pool", "resize", "pixel_shuffle",
-    "pixel_unshuffle", "concat_channels", "Conv2d", "BatchNorm2d", "PReLU",
+    "conv2d", "batchnorm", "prelu", "sigmoid", "pool2d", "global_avg_pool",
+    "resize", "pixel_shuffle", "pixel_unshuffle", "concat_channels", "Conv2d",
+    "BatchNorm2d", "PReLU",
 ]
 
 
@@ -223,16 +223,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return record(out, inputs, bwd, "conv2d")
 
 
+def _prelu(x: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """max(x, 0) + a * min(x, 0); ``out`` may be x itself."""
+    neg = np.minimum(x, 0)
+    neg *= a
+    out = np.maximum(x, 0, out=out)
+    out += neg
+    return out
+
+
+def _prelu_bwd(y: np.ndarray, a: np.ndarray, g: np.ndarray, out=None):
+    """(input gradient, alpha gradient (c,)) of the PReLU at y under the
+    cotangent g; ``out`` may be y itself, never g."""
+    neg = y < 0
+    buf = np.minimum(y, 0, out=out)
+    buf *= g
+    galpha = buf.sum(axis=(0, 2, 3))
+    # the slope, alpha where y < 0 and 1 elsewhere, built without branches:
+    # np.where on a data-dependent mask is several times slower
+    np.multiply(neg, a, out=buf)
+    buf += ~neg
+    buf *= g
+    return buf, galpha
+
+
 def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """y = x for x >= 0, alpha_c * x below; alpha is (1, c, 1, 1)."""
     if alpha.shape != (1, x.shape[1], 1, 1):
         raise ValueError(f"alpha shape {alpha.shape} != (1,{x.shape[1]},1,1)")
     x_data, a_data = x.data, alpha.data
-    out = Tensor(np.maximum(x_data, 0) + a_data * np.minimum(x_data, 0))
+    out = Tensor(_prelu(x_data, a_data))
 
     def bwd(g):
-        gx = np.where(x_data < 0, a_data * g, g)
-        ga = (g * np.minimum(x_data, 0)).sum(axis=(0, 2, 3))
+        gx, ga = _prelu_bwd(x_data, a_data, g)
         return gx, ga.reshape(alpha.shape)
 
     return record(out, [x, alpha], bwd, "prelu")
@@ -469,104 +492,84 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
 # -- batch norm ---------------------------------------------------------------
 
 
-def batchnorm2d_infer(x: Tensor, gamma: Tensor, beta: Tensor,
-                      mean: np.ndarray, var: np.ndarray, eps: float) -> Tensor:
-    """Eval-mode affine map with frozen statistics; still differentiable in
-    x, gamma, beta."""
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * invstd
-    out = Tensor(gamma.data * xhat + beta.data)
-    g_data = gamma.data
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
+              eps: float, stats: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Batch norm, then PReLU with slope ``alpha`` when one is given, as one
+    recorded op; returns (output, mean, variance), each statistic (c,).
 
-    def bwd(g):
-        gx = g * g_data * invstd
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape)
-        gbeta = g.sum(axis=(0, 2, 3)).reshape(beta.shape)
-        return gx, ggamma, gbeta
-
-    return record(out, [x, gamma, beta], bwd, "batchnorm_eval")
-
-
-def _batch_stats(x: Tensor) -> tuple[int, np.ndarray, np.ndarray]:
+    With ``stats=None`` it normalises by the batch's own mean and biased
+    variance (training); with ``stats=(mean, var)``, each (1, c, 1, 1), by
+    those frozen values (eval). The node keeps only xhat. The backward
+    recomputes y = gamma * xhat + beta for the PReLU's slope and alpha
+    gradient, so the activation is never inverted and alpha may be 0, and
+    it never writes over the incoming gradient, which ``add`` hands to
+    both of its inputs."""
     n, c, h, w = x.shape
+    if alpha is not None and alpha.shape != (1, c, 1, 1):
+        raise ValueError(f"alpha shape {alpha.shape} != (1,{c},1,1)")
+    train = stats is None
     m = n * h * w
-    if m < 2:
-        raise ValueError(f"batchnorm train mode needs n*h*w >= 2, got {m}")
-    mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
-    return m, mean, x.data - mean
-
-
-def _batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple:
-    m, mean, centered = _batch_stats(x)
-    var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = centered * invstd
-    out = Tensor(gamma.data * xhat + beta.data)
-    g_data = gamma.data
-
-    def bwd(g):
-        sg = g.sum(axis=(0, 2, 3), keepdims=True)
-        sgx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
-        gx = (g_data * invstd / m) * (m * g - sg - xhat * sgx)
-        return gx, sgx.reshape(gamma.shape), sg.reshape(beta.shape)
-
-    y = record(out, [x, gamma, beta], bwd, "batchnorm_train")
-    return y, mean.reshape(-1), var.reshape(-1)
-
-
-def batchnorm_prelu_train(x: Tensor, gamma: Tensor, beta: Tensor,
-                          alpha: Tensor, eps: float) -> tuple:
-    """Training-mode batch norm, then PReLU, as one recorded op; returns
-    (output, batch mean, biased batch variance) as ``_batchnorm_train``.
-
-    The node keeps only xhat. The backward recomputes the norm's output
-    y = gamma * xhat + beta for the PReLU's sign and alpha gradient, so
-    the activation is never inverted and alpha may be 0. Every value,
-    gradient and statistic follows the same float operations as
-    ``_batchnorm_train`` followed by ``prelu``."""
-    if alpha.shape != (1, x.shape[1], 1, 1):
-        raise ValueError(f"alpha shape {alpha.shape} != (1,{x.shape[1]},1,1)")
-    m, mean, xhat = _batch_stats(x)
-    y = np.multiply(xhat, xhat)
-    # np.var's float steps on the centred map this op already holds
-    var = y.sum(axis=(0, 2, 3), keepdims=True) / m
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat *= invstd
-    g_data, b_data, a_data = gamma.data, beta.data, alpha.data
-    np.multiply(xhat, g_data, out=y)
-    y += b_data
-    neg = np.minimum(y, 0)
-    neg *= a_data
-    np.maximum(y, 0, out=y)
-    y += neg
+    if train:
+        if m < 2:
+            raise ValueError(f"batchnorm train mode needs n*h*w >= 2, got {m}")
+        mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+    else:
+        mean, var = stats
+    g_data, b_data = gamma.data, beta.data
+    a_data = None if alpha is None else alpha.data
+    if alpha is None:
+        # The plain expressions, temporaries and all. Run in place like the
+        # branch below, they left the heap of a desk training step growing
+        # after warm-up several times as often over interpreter hash seeds
+        # (the page-fault probe in tests/test_train.py).
+        if train:
+            var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat = (x.data - mean) * invstd
+        y = g_data * xhat + b_data
+    else:
+        # in place over the centred map and, in training, its squares,
+        # summed with np.var's float steps for the batch variance
+        xhat = x.data - mean
+        y = None
+        if train:
+            y = np.multiply(xhat, xhat)
+            var = y.sum(axis=(0, 2, 3), keepdims=True) / m
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat *= invstd
+        y = np.multiply(xhat, g_data, out=y)
+        y += b_data
+        _prelu(y, a_data, out=y)
     out = Tensor(y)
 
     def bwd(g):
-        buf = np.multiply(xhat, g_data)
-        buf += b_data
-        neg = buf < 0
-        np.minimum(buf, 0, out=buf)
-        buf *= g
-        galpha = buf.sum(axis=(0, 2, 3))
-        # the PReLU slope, alpha where y < 0 and 1 elsewhere, built without
-        # branches: np.where on a data-dependent mask is several times slower
-        gy = np.multiply(neg, a_data, out=buf)
-        gy += ~neg
-        gy *= g
+        gy = g
+        if alpha is not None:
+            gy = np.multiply(xhat, g_data)
+            gy += b_data
+            gy, galpha = _prelu_bwd(gy, a_data, g, out=gy)
         sg = gy.sum(axis=(0, 2, 3), keepdims=True)
-        buf = np.empty_like(gy)
-        np.multiply(gy, xhat, out=buf)
+        buf = np.multiply(gy, xhat)
         sgx = buf.sum(axis=(0, 2, 3), keepdims=True)
-        np.multiply(xhat, sgx, out=buf)
-        gy *= m
-        gy -= sg
-        gy -= buf
-        gy *= g_data * invstd / m
-        return (gy, sgx.reshape(gamma.shape), sg.reshape(beta.shape),
-                galpha.reshape(alpha.shape))
+        own = None if gy is g else gy  # only an array this op made is reused
+        if train:
+            np.multiply(xhat, sgx, out=buf)
+            gx = np.multiply(gy, m, out=own)
+            gx -= sg
+            gx -= buf
+            gx *= g_data * invstd / m
+        else:
+            gx = np.multiply(gy, g_data, out=own)
+            gx *= invstd
+        grads = [gx, sgx.reshape(gamma.shape), sg.reshape(beta.shape)]
+        if alpha is not None:
+            grads.append(galpha.reshape(alpha.shape))
+        return grads
 
-    y = record(out, [x, gamma, beta, alpha], bwd, "batchnorm_prelu_train")
-    return y, mean.reshape(-1), var.reshape(-1)
+    inputs = [x, gamma, beta] + ([alpha] if alpha is not None else [])
+    op = "batchnorm_train" if train else "batchnorm_eval"
+    return record(out, inputs, bwd, op), mean.reshape(-1), var.reshape(-1)
 
 
 # -- layer modules ------------------------------------------------------------
@@ -620,15 +623,17 @@ class BatchNorm2d(Module):
         self.running_mean = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype))
         self.running_var = Tensor(np.ones((1, channels, 1, 1), dtype=dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, alpha: Tensor | None = None) -> Tensor:
+        """Batch norm, then PReLU with slope ``alpha`` when one is given."""
+        stats = None
+        if not self.training:
+            self._check_running_var()
+            stats = (self.running_mean.data, self.running_var.data)
+        y, mean, var = batchnorm(x, self.gamma, self.beta, alpha, self.eps,
+                                 stats)
         if self.training:
-            y, mean, var = _batchnorm_train(x, self.gamma, self.beta, self.eps)
             self.update_running(mean, var)
-            return y
-        self._check_running_var()
-        return batchnorm2d_infer(x, self.gamma, self.beta,
-                                 self.running_mean.data,
-                                 self.running_var.data, self.eps)
+        return y
 
     __call__ = forward
 

@@ -92,12 +92,11 @@ class ConvBNAct(Module):
     """conv -> batch norm -> optional PReLU. Conv carries no bias (the BN
     shift absorbs it).
 
-    A training-mode forward with an activation runs BN and PReLU as one
-    recorded op (``layers.batchnorm_prelu_train``). An eval-mode forward
-    that records no graph folds the BN into the conv: one conv with
-    weight * scale and bias shift, where (scale, shift) is the BN's eval
-    affine map, recomputed on every call so nothing goes stale. Otherwise
-    conv, BN and PReLU run apart and stay the oracle.
+    BN and PReLU run as one recorded op (``layers.batchnorm`` through
+    ``BatchNorm2d``). An eval-mode forward that records no graph instead
+    folds the BN into the conv: one conv with weight * scale and bias
+    shift, where (scale, shift) is the BN's eval affine map, recomputed on
+    every call so nothing goes stale.
     """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, padding=1, groups=1,
@@ -109,22 +108,16 @@ class ConvBNAct(Module):
         self.act = PReLU(out_c, dtype=dtype) if act else None
 
     def __call__(self, x):
-        if self.training and self.act is not None:
-            bn = self.bn
-            y, mean, var = layers.batchnorm_prelu_train(
-                self.conv(x), bn.gamma, bn.beta, self.act.alpha, bn.eps)
-            bn.update_running(mean, var)
-            return y
         if self.training or grad_enabled():
-            y = self.bn(self.conv(x))
-        else:
-            scale, shift = self.bn.eval_affine()
-            conv = self.conv
-            weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
-            # layers.conv2d is looked up at call time, as in Conv2d.forward,
-            # so a wrapper installed on it sees the folded convs too.
-            y = layers.conv2d(x, Tensor(weight), Tensor(shift), conv.stride,
-                              conv.padding, conv.groups)
+            alpha = None if self.act is None else self.act.alpha
+            return self.bn(self.conv(x), alpha)
+        scale, shift = self.bn.eval_affine()
+        conv = self.conv
+        weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
+        # layers.conv2d is looked up at call time, as in Conv2d.forward, so
+        # a wrapper installed on it sees the folded convs too.
+        y = layers.conv2d(x, Tensor(weight), Tensor(shift), conv.stride,
+                          conv.padding, conv.groups)
         return self.act(y) if self.act is not None else y
 
 

@@ -193,10 +193,13 @@ def _read_checkpoint_tail(r: _Reader):
         step, n_pairs = r.unpack("<QI", "optimizer header")
         m, v = {}, {}
         for _ in range(n_pairs):
-            name, arr, _l = _read_record(r)
-            m[name.removeprefix("m:")] = arr
-            name, arr, _l = _read_record(r)
-            v[name.removeprefix("v:")] = arr
+            m_name, m_arr, _l = _read_record(r)
+            v_name, v_arr, _l = _read_record(r)
+            name = m_name[2:]
+            if (m_name[:2], v_name) != ("m:", "v:" + name):
+                raise FormatError(f"optimizer records {m_name!r} and "
+                                  f"{v_name!r} do not pair")
+            m[name], v[name] = m_arr, v_arr
         opt_state = {"step": step, "m": m, "v": v}
     epoch, global_step, master_seed, best = r.unpack("<IQQd",
                                                      "checkpoint trailer")

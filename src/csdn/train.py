@@ -37,8 +37,10 @@ class TrainConfig:
     augment: str = "full"  # full | mild | none
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for key in ("epochs", "batch_size", "lr_step", "val_every",
+                    "checkpoint_every"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
         if self.augment not in ("full", "mild", "none"):
@@ -80,13 +82,15 @@ class Adam:
 
     def load_state(self, state: dict):
         self.step_count = int(state["step"])
-        for n in self.m:
-            if n not in state["m"]:
-                raise ValueError(f"optimizer state missing moments for {n!r}")
-            if state["m"][n].shape != self.m[n].shape:
-                raise ValueError(f"optimizer moment shape mismatch for {n!r}")
-            self.m[n] = state["m"][n].astype(self.m[n].dtype, copy=True)
-            self.v[n] = state["v"][n].astype(self.v[n].dtype, copy=True)
+        for moments, saved in ((self.m, state["m"]), (self.v, state["v"])):
+            for n in moments:
+                if n not in saved:
+                    raise ValueError(
+                        f"optimizer state missing moments for {n!r}")
+                if saved[n].shape != moments[n].shape:
+                    raise ValueError(
+                        f"optimizer moment shape mismatch for {n!r}")
+                moments[n] = saved[n].astype(moments[n].dtype, copy=True)
 
     def step(self, grads: dict[str, Tensor], lr: float):
         """One update; every gradient is checked (present, shape, finite)

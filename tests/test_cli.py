@@ -4,8 +4,10 @@ main(argv) so stdout/stderr land in capsys."""
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from csdn.cli import (DataError, UsageError, echo_config, load_run_config,
 from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
 from csdn.phantom import read_pgm
-from csdn.serial import save_weights
-from csdn.train import TrainConfig
+from csdn.serial import save_checkpoint, save_weights
+from csdn.train import Adam, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +221,24 @@ def test_train_nan_gradient_exits_3(ds64, tmp_path, capsys, monkeypatch):
     assert not (out / "last.ckpt").exists()
 
 
+def test_train_resume_rejects_unpaired_moments(ds64, tmp_path, capsys):
+    # one v: record renamed, the CRC made valid again: the reader must
+    # refuse the pairing before Adam.load_state looks the name up
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    path = tmp_path / "unpaired.ckpt"
+    save_checkpoint(str(path), net, Adam(net.parameter_store()), epoch=0,
+                    global_step=0, master_seed=0, best_val_dsc=-1.0)
+    body = path.read_bytes()[:-4]
+    assert body.count(b"v:head.point.bias") == 1
+    body = body.replace(b"v:head.point.bias", b"v:head.point.biaz")
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    rc = main(["train", "--data", str(ds64), "--out", str(tmp_path / "o"),
+               "--resume", str(path), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "pair" in err[0]
+
+
 def test_train_missing_data(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                str(tmp_path / "o")])
@@ -322,7 +342,9 @@ def test_gradcheck_micro(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["fusion_channels = 0", "ge_expansion = 0",
                                   "shallow_channels = 3,4,0",
-                                  "stem_channels = -2"])
+                                  "stem_channels = -2", "batch_size = 0",
+                                  "lr_step = 0", "lr_step = -1",
+                                  "val_every = 0", "checkpoint_every = 0"])
 def test_config_rejects_widths_below_one(tmp_path, capsys, line):
     key = line.split()[0]
     cfg = write_cfg(tmp_path, f"preset = micro\n{line}\n")

@@ -72,11 +72,14 @@ def test_ops_sweep_passes():
     assert any("conv2d" in n for n in names)
     assert any("focal" in n for n in names)
     assert any("batchnorm" in n for n in names)
-    # the fused training op beside its unfused oracle, and both strides of
-    # the dense and depthwise conv paths
+    # the batch-norm op with and without its PReLU, with batch and frozen
+    # statistics, and both strides of the dense and depthwise conv paths
     for name in ("bn-prelu-train/input", "bn-prelu-train/gamma",
                  "bn-prelu-train/beta", "bn-prelu-train/alpha",
-                 "batchnorm-train/input", "conv2d/input", "conv2d-s1/input",
+                 "batchnorm-train/input", "batchnorm-train/gamma",
+                 "batchnorm-train/beta", "batchnorm-eval/input",
+                 "batchnorm-eval/gamma", "batchnorm-eval/beta",
+                 "batchnorm-eval/alpha", "conv2d/input", "conv2d-s1/input",
                  "conv2d-s1/weight", "depthwise/input", "depthwise-s2/input",
                  "depthwise-s2/weight"):
         assert name in names, name

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from csdn.autodiff import AutodiffError, Tensor, backward, reduce_sum
-from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _batchnorm_train,
-                         _out_size, _resize_matrix, batchnorm2d_infer,
-                         batchnorm_prelu_train, concat_channels, conv2d, global_avg_pool, he_uniform,
-                         pixel_shuffle, pixel_unshuffle, pool2d, prelu,
-                         resize, sigmoid)
+from csdn.autodiff import AutodiffError, Tensor, backward, record, reduce_sum
+from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _out_size, _resize_matrix,
+                         batchnorm, concat_channels, conv2d, global_avg_pool,
+                         he_uniform, pixel_shuffle, pixel_unshuffle, pool2d,
+                         prelu, resize, sigmoid)
 from csdn.model import ConvBNAct
 
 F64 = np.float64
@@ -474,13 +473,89 @@ def test_concat_guards():
 # -- batch norm ---------------------------------------------------------------
 
 
+# The two batch-norm ops and the np.where PReLU backward that ``batchnorm``
+# and ``prelu`` replaced, kept verbatim as their oracle. The fused training
+# op that ``batchnorm`` also replaced was pinned to their chain.
+
+
+def oracle_prelu(x: Tensor, alpha: Tensor) -> Tensor:
+    """y = x for x >= 0, alpha_c * x below; alpha is (1, c, 1, 1)."""
+    if alpha.shape != (1, x.shape[1], 1, 1):
+        raise ValueError(f"alpha shape {alpha.shape} != (1,{x.shape[1]},1,1)")
+    x_data, a_data = x.data, alpha.data
+    out = Tensor(np.maximum(x_data, 0) + a_data * np.minimum(x_data, 0))
+
+    def bwd(g):
+        gx = np.where(x_data < 0, a_data * g, g)
+        ga = (g * np.minimum(x_data, 0)).sum(axis=(0, 2, 3))
+        return gx, ga.reshape(alpha.shape)
+
+    return record(out, [x, alpha], bwd, "prelu")
+
+
+def batchnorm2d_infer(x: Tensor, gamma: Tensor, beta: Tensor,
+                      mean: np.ndarray, var: np.ndarray, eps: float) -> Tensor:
+    """Eval-mode affine map with frozen statistics; still differentiable in
+    x, gamma, beta."""
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean) * invstd
+    out = Tensor(gamma.data * xhat + beta.data)
+    g_data = gamma.data
+
+    def bwd(g):
+        gx = g * g_data * invstd
+        ggamma = (g * xhat).sum(axis=(0, 2, 3)).reshape(gamma.shape)
+        gbeta = g.sum(axis=(0, 2, 3)).reshape(beta.shape)
+        return gx, ggamma, gbeta
+
+    return record(out, [x, gamma, beta], bwd, "batchnorm_eval")
+
+
+def _batch_stats(x: Tensor) -> tuple[int, np.ndarray, np.ndarray]:
+    n, c, h, w = x.shape
+    m = n * h * w
+    if m < 2:
+        raise ValueError(f"batchnorm train mode needs n*h*w >= 2, got {m}")
+    mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
+    return m, mean, x.data - mean
+
+
+def _batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> tuple:
+    m, mean, centered = _batch_stats(x)
+    var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = centered * invstd
+    out = Tensor(gamma.data * xhat + beta.data)
+    g_data = gamma.data
+
+    def bwd(g):
+        sg = g.sum(axis=(0, 2, 3), keepdims=True)
+        sgx = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        gx = (g_data * invstd / m) * (m * g - sg - xhat * sgx)
+        return gx, sgx.reshape(gamma.shape), sg.reshape(beta.shape)
+
+    y = record(out, [x, gamma, beta], bwd, "batchnorm_train")
+    return y, mean.reshape(-1), var.reshape(-1)
+
+
+def oracle_batchnorm(x, gamma, beta, alpha, eps, stats=None):
+    """``batchnorm`` as the chain of replaced ops: (output, mean, var)."""
+    if stats is None:
+        y, mean, var = _batchnorm_train(x, gamma, beta, eps)
+    else:
+        mean, var = stats
+        y = batchnorm2d_infer(x, gamma, beta, mean, var, eps)
+        mean, var = mean.reshape(-1), var.reshape(-1)
+    return (y if alpha is None else oracle_prelu(y, alpha)), mean, var
+
+
 def test_batchnorm_train_normalizes():
     for seed in range(5):
         rng = np.random.Generator(np.random.PCG64(seed + 40))
         x = Tensor(rng.normal(3.0, 2.0, size=(4, 3, 8, 8)))
         g = Tensor.ones((1, 3, 1, 1), dtype=F64, requires_grad=True)
         b = Tensor.zeros((1, 3, 1, 1), dtype=F64, requires_grad=True)
-        y, mean, var = _batchnorm_train(x, g, b, 1e-5)
+        y, mean, var = batchnorm(x, g, b, None, 1e-5)
         assert np.allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
         assert np.allclose(y.data.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
         assert np.allclose(mean, x.data.mean(axis=(0, 2, 3)))
@@ -488,10 +563,14 @@ def test_batchnorm_train_normalizes():
 
 
 def test_batchnorm_train_needs_two_samples():
-    with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
-        _batchnorm_train(Tensor.ones((1, 3, 1, 1), dtype=F64),
-                         Tensor.ones((1, 3, 1, 1), dtype=F64),
-                         Tensor.zeros((1, 3, 1, 1), dtype=F64), 1e-5)
+    one = Tensor.ones((1, 3, 1, 1), dtype=F64)
+    for alpha in (None, one):
+        with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
+            batchnorm(one, one, Tensor.zeros((1, 3, 1, 1), dtype=F64), alpha,
+                      1e-5)
+    # frozen statistics need no batch
+    y = batchnorm(one, one, one, one, 1e-5, (one.data, one.data))[0]
+    assert y.shape == (1, 3, 1, 1)
 
 
 def test_batchnorm_module_running_stats():
@@ -527,30 +606,26 @@ def test_batchnorm_infer_matches_formula():
     b = t(rng, 1, 3, 1, 1)
     mean = rng.normal(size=(1, 3, 1, 1))
     var = rng.uniform(0.5, 2.0, size=(1, 3, 1, 1))
-    y = batchnorm2d_infer(x, g, b, mean, var, 1e-5)
+    y = batchnorm(x, g, b, None, 1e-5, (mean, var))[0]
     want = g.data * (x.data - mean) / np.sqrt(var + 1e-5) + b.data
     assert np.allclose(y.data, want, atol=1e-12)
 
 
-def _fused_and_chain(x, gamma, beta, alpha, g):
-    """Output, batch statistics and the four gradients of the fused op and
-    of ``_batchnorm_train`` + ``prelu``, each under the cotangent g."""
-    results = []
-    for fused in (True, False):
-        ts = [Tensor(v.copy(), requires_grad=True) for v in (x, gamma, beta, alpha)]
-        if fused:
-            y, mean, var = batchnorm_prelu_train(*ts, 1e-5)
-        else:
-            z, mean, var = _batchnorm_train(*ts[:3], 1e-5)
-            y = prelu(z, ts[3])
-        backward(reduce_sum(y * Tensor(g)))
-        results.append([y.data, mean, var] + [v.grad for v in ts])
-    return results
+def _run(op, arrays, g):
+    """What ``op`` returns, its output as an array, then the gradient of
+    each input under the cotangent g; a None in arrays passes through."""
+    ts = [None if a is None else Tensor(a.copy(), requires_grad=True)
+          for a in arrays]
+    y, *rest = op(*ts)
+    backward(reduce_sum(y * Tensor(g)))
+    return [y.data, *rest, *(v.grad for v in ts if v is not None)]
 
 
-def test_fused_bn_prelu_matches_unfused_chain():
+def test_batchnorm_matches_replaced_ops():
+    # bit for bit, in both float types and all four modes: the output, both
+    # statistics and every gradient; then the standalone PReLU the same way
     rng = np.random.Generator(np.random.PCG64(82))
-    for shape in ((4, 3, 6, 5), (2, 4, 1, 1), (1, 2, 1, 2)):
+    for shape in ((4, 3, 6, 5), (2, 4, 1, 1), (1, 2, 1, 2), (8, 16, 8, 8)):
         c = shape[1]
         x = rng.normal(1.0, 2.0, size=shape)
         gamma = rng.normal(size=(1, c, 1, 1))
@@ -558,21 +633,53 @@ def test_fused_bn_prelu_matches_unfused_chain():
         beta = rng.normal(size=(1, c, 1, 1))
         alpha = rng.uniform(0.1, 0.5, size=(1, c, 1, 1))
         alpha[0, 1] = 0.0  # a dead slope: gradient 0 below, never inverted
+        frozen = (rng.normal(size=(1, c, 1, 1)),
+                  rng.uniform(0.5, 2.0, size=(1, c, 1, 1)))
         g = rng.normal(size=shape)
-        fused, chain = _fused_and_chain(x, gamma, beta, alpha, g)
-        for name, a, b in zip(("out", "mean", "var", "x", "gamma", "beta",
-                               "alpha"), fused, chain):
-            assert a.shape == b.shape, name
-            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), name
+        for dtype in (F64, np.float32):
+            xd, gd, bd, ad, cot = (v.astype(dtype)
+                                   for v in (x, gamma, beta, alpha, g))
+            fd = tuple(v.astype(dtype) for v in frozen)
+            for a, stats in ((None, None), (ad, None), (None, fd), (ad, fd)):
+                case = (shape, dtype, a is None, stats is None)
+                got, want = (
+                    _run(lambda *ts: op(*ts, 1e-5, stats), (xd, gd, bd, a),
+                         cot)
+                    for op in (batchnorm, oracle_batchnorm))
+                assert len(got) == len(want) == 6 + (a is not None), case
+                for u, v in zip(got, want):
+                    assert u.dtype == v.dtype == dtype, case
+                    assert np.array_equal(u, v), case
+            got, want = (_run(lambda *ts: (op(*ts),), (xd, ad), cot)
+                         for op in (prelu, oracle_prelu))
+            for u, v in zip(got, want):
+                assert u.dtype == dtype and np.array_equal(u, v), shape
+
+
+def test_batchnorm_leaves_the_incoming_gradient_alone():
+    # add hands one gradient array to both of its inputs
+    rng = np.random.Generator(np.random.PCG64(84))
+    x, g = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
+    params = [Tensor(rng.uniform(0.5, 1.5, (1, 3, 1, 1)), requires_grad=True)
+              for _ in range(3)]
+    stats = (rng.normal(size=(1, 3, 1, 1)), rng.uniform(0.5, 2, (1, 3, 1, 1)))
+    for alpha in (None, params[2]):
+        for st in (None, stats):
+            y = batchnorm(Tensor(x, requires_grad=True), params[0], params[1],
+                          alpha, 1e-5, st)[0]
+            gin = g.copy()
+            y._node.backward_fn(gin)
+            assert np.array_equal(gin, g)
 
 
 def test_fused_bn_prelu_guards():
     one = Tensor.ones((1, 3, 1, 1), dtype=F64)
     with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
-        batchnorm_prelu_train(one, one, one, one, 1e-5)
-    with pytest.raises(ValueError, match="alpha"):
-        batchnorm_prelu_train(Tensor.ones((2, 3, 2, 2), dtype=F64), one, one,
-                              Tensor.ones((1, 4, 1, 1), dtype=F64), 1e-5)
+        batchnorm(one, one, one, one, 1e-5)
+    for stats in (None, (one.data, one.data)):
+        with pytest.raises(ValueError, match="alpha"):
+            batchnorm(Tensor.ones((2, 3, 2, 2), dtype=F64), one, one,
+                      Tensor.ones((1, 4, 1, 1), dtype=F64), 1e-5, stats)
 
 
 def test_conv_bn_act_training_matches_unfused_modules():

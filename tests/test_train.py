@@ -39,8 +39,11 @@ def grads_for(store, values):
 
 
 def test_train_config_guards():
-    with pytest.raises(ValueError, match="epochs"):
-        TrainConfig(epochs=0)
+    for key in ("epochs", "batch_size", "lr_step", "val_every",
+                "checkpoint_every"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: bad})
     with pytest.raises(ValueError, match="lr_factor"):
         TrainConfig(lr_factor=0.0)
     with pytest.raises(ValueError, match="augment"):
@@ -124,6 +127,13 @@ def test_adam_error_paths():
     with pytest.raises(ValueError, match="moment shape"):
         opt.load_state({"step": 1,
                         "m": {"p": np.zeros((1, 1, 2, 2))},
+                        "v": {"p": np.zeros((1, 1, 2, 2))}})
+    # the second moment is checked as the first is
+    one = np.zeros((1, 1, 1, 1))
+    with pytest.raises(ValueError, match="missing moments"):
+        opt.load_state({"step": 1, "m": {"p": one}, "v": {}})
+    with pytest.raises(ValueError, match="moment shape"):
+        opt.load_state({"step": 1, "m": {"p": one},
                         "v": {"p": np.zeros((1, 1, 2, 2))}})
 
     # a rejected step changes nothing: checked before the first update
