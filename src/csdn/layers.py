@@ -1,24 +1,26 @@
 """Differentiable layer kernels on the rank-4 tensor type.
 
 Dense convolution runs as a channel-major im2col (one copy per kernel tap)
-and one GEMM per image whose output is already NCHW; depthwise
-convolution and pooling run as k*k shifted-slice sweeps. A stride-1
-convolution reads its taps from one flat zero-padded buffer, where each
-tap is a contiguous slice; a strided one reads strided views of the
-padded map, and its input gradient scatters the taps back (col2im).
-Resize applies cached per-axis interpolation matrices with broadcast
-matmul, so the backward pass is the transposed product; the exact
-half-size bicubic of the network's front end runs forward as its fixed
-4-tap filter instead. Convolution is cross-correlation; padding is zeros
-(max pooling pads with -inf and average pooling counts only in-bounds
-elements).
+and one GEMM per image whose output is already NCHW. Only a weight
+gradient keeps the columns, whole-map; any other dense conv (no_grad
+forwards, the stride-1 input gradient) fills and multiplies them one
+cache-sized band of output rows at a time. Depthwise convolution and
+pooling run as k*k shifted-slice sweeps. A stride-1 convolution reads its
+taps from one flat zero-padded buffer, where each tap is a contiguous
+slice; a strided one reads strided views of the padded map, and its
+input gradient scatters the taps back (col2im). Resize applies cached
+per-axis interpolation matrices with broadcast matmul, so the backward
+pass is the transposed product; the exact half-size bicubic of the
+network's front end runs forward as its fixed 4-tap filter instead.
+Convolution is cross-correlation; padding is zeros (max pooling pads with
+-inf and average pooling counts only in-bounds elements).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import AutodiffError, Module, Tensor, record
+from .autodiff import AutodiffError, Module, Tensor, grad_enabled, record
 
 __all__ = [
     "conv2d", "batchnorm", "prelu", "sigmoid", "pool2d", "global_avg_pool",
@@ -39,12 +41,13 @@ def _out_size(n: int, k: int, s: int, p: int) -> int:
     return o
 
 
-def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow):
+def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow, r0=0):
     """(i, j, view) per kernel tap: the (n, c, oh, ow) strided slice of a
-    padded map that tap (i, j) reads."""
+    padded map that tap (i, j) reads for output rows r0 .. r0+oh-1."""
     for i in range(kh):
+        t = i + sh * r0
         for j in range(kw):
-            yield i, j, xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+            yield i, j, xp[:, :, t:t + sh * oh:sh, j:j + sw * ow:sw]
 
 
 def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int) -> tuple[np.ndarray, int]:
@@ -61,29 +64,50 @@ def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int) -> tuple[np.ndarray, int
     return flat, wp
 
 
-def _flat_taps(flat: np.ndarray, kh, kw, wp, oh):
-    """(i, j, view) per stride-1 tap of a ``_flat_pad`` buffer: the
-    contiguous slice from i*wp + j, seen as (n, c, oh, wp). Its last
-    wp - ow columns wrap into the next row; callers crop them once."""
+def _flat_taps(flat: np.ndarray, kh, kw, wp, oh, r0=0):
+    """(i, j, view) per stride-1 tap of a ``_flat_pad`` buffer for output
+    rows r0 .. r0+oh-1: the contiguous slice from (r0+i)*wp + j, seen as
+    (n, c, oh, wp). Its last wp - ow columns wrap into the next row;
+    callers crop them once."""
     n, c = flat.shape[:2]
     for i in range(kh):
         for j in range(kw):
-            s = i * wp + j
+            s = (r0 + i) * wp + j
             yield i, j, flat[:, :, s:s + oh * wp].reshape(n, c, oh, wp)
 
 
-def _im2col_gemm(taps, w, n, oh, ow, dtype):
-    """Dense correlation as one GEMM per image over channel-major columns.
+# Bytes of im2col columns filled and multiplied at a time when the columns
+# are not kept: half of one core's 2 MiB L2 on the Xeon it was measured on,
+# so a band is still cached when its GEMM reads it.
+_BAND_BYTES = 1 << 20
 
-    cols is (n, c*kh*kw, oh*ow), filled with one copy per tap, so
-    w.reshape(c_out, -1) @ cols is already NCHW."""
+
+def _im2col_gemm(taps, w, n, oh, ow, dtype, keep):
+    """Dense correlation as one GEMM per image over channel-major columns,
+    filled and multiplied one band of output rows at a time, where
+    ``taps(r0, rows)`` yields the taps of rows r0 .. r0+rows-1. A band's
+    w.reshape(c_out, -1) @ cols is already NCHW and lands in its rows of
+    the output. With ``keep`` one band spans the map and its columns are
+    returned for the weight gradient; otherwise bands of about
+    ``_BAND_BYTES`` and a multiple of 16 columns per image share one
+    buffer and None is returned. OpenBLAS kernels tile the columns by 4 to
+    16, so a band's sums are the one-band GEMM's, bit for bit."""
     c_out, c, kh, kw = w.shape
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=dtype)
-    for i, j, tap in taps:
-        cols[:, :, i, j] = tap
-    cols = cols.reshape(n, c * kh * kw, oh * ow)
-    out = np.matmul(w.reshape(c_out, -1), cols)
-    return out.reshape(n, c_out, oh, ow), cols
+    k = c * kh * kw
+    step = 16 // np.gcd(ow, 16)
+    rows = _BAND_BYTES // (n * k * ow * np.dtype(dtype).itemsize)
+    rows = oh if keep else min(oh, max(step, rows - rows % step))
+    buf = np.empty(n * k * rows * ow, dtype=dtype)
+    out = np.empty((n, c_out, oh * ow), dtype=np.result_type(w, dtype))
+    for r0 in range(0, oh, rows):
+        r = min(rows, oh - r0)
+        cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
+        for i, j, tap in taps(r0, r):
+            cols[:, :, i, j] = tap
+        cols = cols.reshape(n, k, r * ow)
+        np.matmul(w.reshape(c_out, k), cols,
+                  out=out[:, :, r0 * ow:(r0 + r) * ow])
+    return out.reshape(n, c_out, oh, ow), cols if keep else None
 
 
 def _depthwise(taps, w, shape, dtype):
@@ -97,12 +121,13 @@ def _depthwise(taps, w, shape, dtype):
 
 
 def _corr_s1(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
-             depthwise: bool):
+             depthwise: bool, keep: bool):
     """Stride-1 correlation of x with w (dense (c_out, c, kh, kw) or
     depthwise (c, kh, kw)) through a flat padded buffer.
 
-    Returns (out, cache): cache is the dense columns or the flat buffer,
-    both laid out over wp-wide rows, which the weight gradient reuses."""
+    Returns (out, cache): cache is the flat buffer or, with ``keep``, the
+    dense columns (else None), both over wp-wide rows, for the weight
+    gradient."""
     n, _, h, w_ = x.shape
     kh, kw = w.shape[-2:]
     oh, ow = h + 2 * ph - kh + 1, w_ + 2 * pw - kw + 1
@@ -116,8 +141,9 @@ def _corr_s1(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
         out = np.matmul(w.reshape(w.shape[0], -1), cache)
         out = out.reshape(n, w.shape[0], oh, wp)
     else:
-        out, cache = _im2col_gemm(_flat_taps(flat, kh, kw, wp, oh), w, n,
-                                  oh, wp, x.dtype)
+        out, cache = _im2col_gemm(
+            lambda r0, r: _flat_taps(flat, kh, kw, wp, r, r0), w, n, oh, wp,
+            x.dtype, keep)
     return np.ascontiguousarray(out[:, :, :, :ow]), cache
 
 
@@ -166,21 +192,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     w_data = weight.data
     w_eff = w_data[:, 0] if depthwise else w_data
+    inputs = [x, weight] + ([bias] if bias is not None else [])
+    # the dense columns are kept only for a weight gradient that will be taken
+    keep = grad_enabled() and any(t.requires_grad for t in inputs)
     stride1 = (sh, sw) == (1, 1)
     if stride1:
-        out_data, cache = _corr_s1(x.data, w_eff, ph, pw, depthwise)
+        out_data, cache = _corr_s1(x.data, w_eff, ph, pw, depthwise, keep)
         wp = w + 2 * pw
     else:
         xp = x.data
         if ph or pw:
             xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        taps = _taps(xp, kh, kw, sh, sw, oh, ow)
         if depthwise:
-            out_data = _depthwise(taps, w_eff, (n, c, oh, ow),
-                                  np.result_type(xp, w_data))
+            out_data = _depthwise(_taps(xp, kh, kw, sh, sw, oh, ow), w_eff,
+                                  (n, c, oh, ow), np.result_type(xp, w_data))
             cache = xp
         else:
-            out_data, cache = _im2col_gemm(taps, w_data, n, oh, ow, xp.dtype)
+            out_data, cache = _im2col_gemm(
+                lambda r0, r: _taps(xp, kh, kw, sh, sw, r, ow, r0), w_data,
+                n, oh, ow, xp.dtype, keep)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -197,7 +227,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             w_flip = w_eff[..., ::-1, ::-1]
             if not depthwise:
                 w_flip = np.ascontiguousarray(w_flip.transpose(1, 0, 2, 3))
-            gx, _ = _corr_s1(g, w_flip, kh - 1 - ph, kw - 1 - pw, depthwise)
+            gx, _ = _corr_s1(g, w_flip, kh - 1 - ph, kw - 1 - pw, depthwise,
+                             False)
             # the cache spans wp-wide rows: zero g over the wrapped columns
             if wp != ow:
                 gz = np.zeros((n, c_out, oh, wp), dtype=g.dtype)
@@ -219,7 +250,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             grads.append(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
         return grads
 
-    inputs = [x, weight] + ([bias] if has_bias else [])
     return record(out, inputs, bwd, "conv2d")
 
 

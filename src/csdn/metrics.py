@@ -152,7 +152,7 @@ def predict_label(model, frames: np.ndarray) -> np.ndarray:
     model.eval()
     try:
         with no_grad():
-            out = model(Tensor(frames[None].astype(model.dtype)))
+            out = model(Tensor(frames[None].astype(model.dtype, copy=False)))
         return label_map(out.main_logits.data[0])
     finally:
         if was_training:

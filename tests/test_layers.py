@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
-from csdn.autodiff import AutodiffError, Tensor, backward, record, reduce_sum
+from csdn import layers
+from csdn.autodiff import (AutodiffError, Tensor, backward, no_grad, record,
+                           reduce_sum)
 from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _out_size, _resize_matrix,
                          batchnorm, concat_channels, conv2d, global_avg_pool,
                          he_uniform, pixel_shuffle, pixel_unshuffle, pool2d,
@@ -232,6 +234,92 @@ def test_flat_depthwise_is_bit_identical_to_strided_taps():
                      groups=shape[1]).data
         assert got.dtype == np.float32
         assert np.array_equal(got, strided_depthwise(x, w, padding))
+
+
+# (input shape, kernel, padding) per stride, each with 17 or 18 output
+# rows; the stride-1 cases have 2 to 4 wrap columns
+BANDED = {1: [((2, 3, 17, 10), 3, 1), ((3, 2, 18, 14), 5, 2),
+              ((2, 4, 19, 9), 3, 0)],
+          2: [((2, 3, 33, 15), 3, 1), ((3, 2, 35, 20), 5, 2),
+              ((2, 4, 36, 33), 3, 0)]}
+
+
+def band_rows(monkeypatch):
+    """Make the tap helpers log each band's row count into the returned
+    list."""
+    rows = []
+
+    def spy(taps):
+        def logged(*args):
+            views = list(taps(*args))
+            rows.append(views[0][2].shape[2])
+            return views
+        return logged
+
+    for name in ("_taps", "_flat_taps"):
+        monkeypatch.setattr(layers, name, spy(getattr(layers, name)))
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_banded_im2col_matches_one_band(monkeypatch, stride, dtype):
+    rng = np.random.Generator(np.random.PCG64(90 + stride))
+    rows = band_rows(monkeypatch)
+    partial = 0
+    for shape, k, padding in BANDED[stride]:
+        x = Tensor(rng.normal(size=shape).astype(dtype))
+        w = Tensor(rng.normal(size=(5, shape[1], k, k)).astype(dtype))
+        b = Tensor(rng.normal(size=(1, 5, 1, 1)).astype(dtype))
+        outs = []
+        for band in (1 << 40, 1, 1 << 13):
+            monkeypatch.setattr(layers, "_BAND_BYTES", band)
+            rows.clear()
+            with no_grad():
+                out = conv2d(x, w, b, stride=stride, padding=padding)
+            outs.append(out.data)
+            assert sum(rows) == outs[0].shape[2]
+            if band == 1:
+                assert len(rows) > 1
+                partial += rows[-1] < rows[0]
+        assert outs[0].dtype == dtype
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+        if dtype is F64:
+            want = direct_conv(x.data, w.data, stride, padding, False) + b.data
+            assert np.allclose(outs[1], want, rtol=0, atol=1e-12)
+    assert partial >= 2
+
+
+def test_banded_stride1_input_gradient(monkeypatch):
+    # the input gradient's correlation keeps no columns, so it runs in bands
+    # even with grad on; the forward keeps them and runs as one band
+    rng = np.random.Generator(np.random.PCG64(93))
+    rows = band_rows(monkeypatch)
+    for shape, k, padding in BANDED[1]:
+        x = t(rng, *shape, grad=True)
+        w = t(rng, 5, shape[1], k, k, grad=True)
+        g = rng.normal(size=(shape[0], 5, shape[2] + 2 * padding - k + 1,
+                             shape[3] + 2 * padding - k + 1))
+        grads = []
+        for band in (1 << 40, 1):
+            monkeypatch.setattr(layers, "_BAND_BYTES", band)
+            x.grad = w.grad = None
+            rows.clear()
+            out = conv2d(x, w, None, padding=padding)
+            assert rows == [g.shape[2]]
+            backward(reduce_sum(out * Tensor(g)))
+            bands = rows[1:]  # the input gradient's
+            assert sum(bands) == shape[2]
+            assert len(bands) == 1 if band > 1 else len(bands) > 1
+            grads.append((out.data, x.grad, w.grad))
+        (out, gx, gw), (out1, gx1, gw1) = grads
+        assert np.array_equal(out1, out) and np.array_equal(gw1, gw)
+        assert np.array_equal(gx1, gx)
+        want = canvas_input_grad(g, w.data, 1, padding, shape[2], shape[3],
+                                 False)
+        assert np.abs(gx1 - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.isclose(np.vdot(gx1, x.data), np.vdot(g, out), rtol=1e-12)
 
 
 # -- activations --------------------------------------------------------------

@@ -218,6 +218,29 @@ def test_predict_label_argmax_and_flag_restore():
     assert model.training  # entered training, restored after the eval pass
 
 
+def test_predict_and_evaluate_leave_the_frames_alone():
+    # predict_label hands the net the caller's frames, not a copy, so no op
+    # of an eval forward may write into its input
+    class Spy(ConstModel):
+        def __call__(self, x):
+            self.input = x.data
+            return super().__call__(x)
+
+    spy = Spy(1)
+    frames = generate_phantom(30, 64, sample_id="f").frames
+    predict_label(spy, frames)
+    assert np.shares_memory(spy.input, frames)
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    samples = [generate_phantom(s + 30, 64, sample_id=f"f{s}")
+               for s in range(2)]
+    kept = [s.frames.copy() for s in samples]
+    predict_label(net, samples[0].frames)
+    evaluate(net, samples)
+    for s, k in zip(samples, kept):
+        assert s.frames.dtype == net.dtype
+        assert s.frames.tobytes() == k.tobytes()
+
+
 @pytest.mark.parametrize("classes", [1, 2, 3, 5])
 def test_label_map_matches_argmax_with_planted_ties(classes):
     rng = np.random.Generator(np.random.PCG64(classes))
