@@ -61,7 +61,12 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParameterStore, with selective L2 decay."""
+    """Bias-corrected Adam over a ParameterStore, with selective L2 decay.
+
+    Each moment is one flat buffer, decayed tensors first so the decay is
+    one slice; ``m[name]`` and ``v[name]`` are views into it. Parameters
+    stay owned by their tensors, and a step writes each update into
+    ``p.data`` in place."""
 
     def __init__(self, store: ParameterStore, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8,
@@ -73,8 +78,21 @@ class Adam:
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.step_count = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in store.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in store.items()}
+        named = list(store.items())
+        self._decayed = [p for n, p in named if self.decayed(n)]
+        self._order = sorted(named, key=lambda item: not self.decayed(item[0]))
+        self._span, off = {}, 0
+        for name, p in self._order:
+            self._span[name] = slice(off, off + p.data.size)
+            off += p.data.size
+        self._dtype = (np.result_type(*(p.data for _, p in named))
+                       if named else np.float64)
+        self._m = np.zeros(off, self._dtype)
+        self._v = np.zeros(off, self._dtype)
+        self.m = {n: self._m[self._span[n]].reshape(p.data.shape)
+                  for n, p in named}
+        self.v = {n: self._v[self._span[n]].reshape(p.data.shape)
+                  for n, p in named}
 
     @staticmethod
     def decayed(name: str) -> bool:
@@ -90,7 +108,7 @@ class Adam:
                 if saved[n].shape != moments[n].shape:
                     raise ValueError(
                         f"optimizer moment shape mismatch for {n!r}")
-                moments[n] = saved[n].astype(moments[n].dtype, copy=True)
+                moments[n][...] = saved[n]
 
     def step(self, grads: dict[str, Tensor], lr: float):
         """One update; every gradient is checked (present, shape, finite)
@@ -102,27 +120,41 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter "
                                  f"{p.data.shape} for {name!r}")
-            if not np.isfinite(g).all():
-                raise AutodiffError(f"non-finite gradient for {name!r}")
+        flat = [grads[n].data.ravel() for n, _ in self._order]
+        g = np.concatenate(flat, dtype=self._dtype) if flat else self._m.copy()
+        if not np.isfinite(g).all():
+            name = next(n for n in self.store.names()
+                        if not np.isfinite(g[self._span[n]]).all())
+            raise AutodiffError(f"non-finite gradient for {name!r}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.store.items():
-            g = grads[name].data
-            wd = self.weight_decay if self.decayed(name) else 0.0
-            if wd and not self.decoupled:
-                g = g + wd * p.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if wd and self.decoupled:
-                update = update + wd * p.data
-            p.data -= (lr * update).astype(p.data.dtype)
+        wd = self.weight_decay if self._decayed else 0.0
+        if wd:
+            wp = np.concatenate([p.data.ravel() for p in self._decayed],
+                                dtype=self._dtype)
+            wp *= wd
+            if not self.decoupled:
+                g[:wp.size] += wp
+        m, v = self._m, self._v
+        u = (1.0 - self.beta1) * g
+        m *= self.beta1
+        m += u
+        np.multiply(g, 1.0 - self.beta2, out=u)
+        u *= g
+        v *= self.beta2
+        v += u
+        np.divide(v, bc2, out=u)  # update = (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(u, out=u)
+        u += self.eps
+        np.divide(m, bc1, out=g)
+        g /= u
+        if wd and self.decoupled:
+            g[:wp.size] += wp
+        g *= lr
+        for name, p in self._order:
+            p.data -= g[self._span[name]].reshape(p.data.shape)
 
 
 @dataclass

@@ -167,6 +167,100 @@ def test_hybrid_is_one_op_and_keeps_float32(monkeypatch):
     assert recorded == ["hybrid_loss", "focal_loss", "dice_loss"]
 
 
+# -- the per-batch kernel the per-image one replaced, kept as its oracle -----
+
+
+def _ref_check_labels(labels, logits):
+    labels = np.asarray(labels)
+    n, k, h, w = logits.shape
+    if labels.shape != (n, h, w):
+        raise ValueError(f"labels shape {labels.shape} != {(n, h, w)}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError("labels must be an integer index map")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"label values must lie in [0, {k})")
+    return labels
+
+
+def _ref_head(logits, labels, cfg):
+    labels = _ref_check_labels(labels, logits)
+    n, k, h, w = logits.shape
+    npix = n * h * w
+    gamma, eps = float(cfg.focal_gamma), float(cfg.dice_eps)
+
+    onehot = labels[:, None] == np.arange(k).reshape(1, k, 1, 1)
+    p = logits.data - logits.data.max(axis=1, keepdims=True)
+    lsm_y = (p * onehot).sum(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    sumexp = p.sum(axis=1, keepdims=True)
+    p /= sumexp
+    lsm_y -= np.log(sumexp)
+    a_y = cfg.alpha_vector(k).astype(p.dtype)[labels[:, None]]
+    focal_w = 1.0 if gamma == 0.0 else (-np.expm1(lsm_y)) ** gamma
+    focal = float((-a_y * focal_w * lsm_y).sum() / npix)
+
+    inter = (p * onehot).sum(axis=(0, 2, 3))
+    gsum = onehot.sum(axis=(0, 2, 3), dtype=p.dtype)
+    denom = p.sum(axis=(0, 2, 3)) + gsum + eps
+    present = gsum > 0
+    kept = int(present.sum())
+    dice = float(1.0 - ((2.0 * inter + eps) / denom)[present].mean())
+
+    def grad(wf, wd):
+        u = np.exp(lsm_y)
+        if gamma == 0.0:
+            bracket = 1.0
+        else:
+            om_u = -np.expm1(lsm_y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bracket = om_u ** gamma - gamma * u * lsm_y * om_u ** (gamma - 1.0)
+            bracket = np.where(om_u <= 0.0, 0.0, bracket)
+        c = (wf / npix) * a_y * bracket
+        qs = np.where(present, (wd / kept) / denom ** 2, 0.0)
+        a = ((2.0 * inter + eps) * qs).reshape(1, k, 1, 1)
+        b_y = (2.0 * denom * qs)[labels[:, None]]
+        s = (p * a).sum(axis=1, keepdims=True) - b_y * u
+        np.multiply(p, c - s + a, out=p)
+        return np.subtract(p, onehot * (c + b_y * u), out=p)
+
+    return focal, dice, grad
+
+
+def _ref_objective(heads, weights, labels, cfg):
+    """(value, head gradients) of sum over heads of wf*focal + wd*dice."""
+    terms = [_ref_head(z, labels, cfg) for z in heads]
+    value = sum(wf * f + wd * d for (wf, wd), (f, d, _) in zip(weights, terms))
+    return value, [grad(wf, wd) for (wf, wd), (_, _, grad) in zip(weights, terms)]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_hybrid_matches_per_batch_kernel(dtype, tol):
+    # value and all five head gradients against the per-batch kernel, with
+    # class 2 absent from the labels and one saturated pixel (p_y == 1, the
+    # om_u <= 0 branch) in every head
+    for n in (1, 3, 8):
+        for gamma in (0.0, 0.5, 2.0, 3.0):
+            for alpha in (None, (0.5, 1.0, 2.5)):
+                cfg = LossConfig(focal_gamma=gamma, focal_alpha=alpha,
+                                 aux_weight=0.4)
+                rng = np.random.Generator(np.random.PCG64(n * 100 + int(gamma * 10)))
+                z = rng.normal(scale=3.0, size=(5, n, 3, 6, 5))
+                y = rng.integers(0, 2, size=(n, 6, 5))
+                z[:, 0, :, 0, 0] = (60.0, -60.0, -60.0)
+                y[0, 0, 0] = 0
+                heads = [Tensor(zi.astype(dtype), requires_grad=True) for zi in z]
+                want, want_grads = _ref_objective(
+                    [Tensor(zi.astype(dtype)) for zi in z],
+                    [(1.0, 1.0)] + [(0.4, 0.4)] * 4, y, cfg)
+                loss = hybrid_loss(CsdnOutput(heads[0], heads[1:]), y, cfg)
+                backward(loss)
+                case = (n, gamma, alpha)
+                assert abs(loss.item() - want) <= tol * abs(want), case
+                for h, g in zip(heads, want_grads):
+                    assert h.grad.dtype == dtype
+                    assert np.abs(h.grad - g).max() <= tol * np.abs(g).max(), case
+
+
 def test_label_validation():
     z = Tensor.zeros((1, 3, 4, 4), dtype=np.float64)
     cfg = LossConfig()
@@ -180,6 +274,9 @@ def test_label_validation():
     small = Tensor.zeros((1, 3, 2, 2), dtype=np.float64)
     with pytest.raises(ValueError, match="labels shape"):
         hybrid_loss(CsdnOutput(z, [z, small]), np.zeros((1, 4, 4), dtype=np.int64), cfg)
+    two = Tensor.zeros((1, 2, 4, 4), dtype=np.float64)
+    with pytest.raises(ValueError, match="2 classes"):
+        hybrid_loss(CsdnOutput(z, [two]), np.zeros((1, 4, 4), dtype=np.int64), cfg)
 
 
 def test_config_validation():

@@ -162,6 +162,76 @@ def test_adam_error_paths():
         assert all(np.array_equal(u, w) for u, w in zip(before, state()))
 
 
+def test_adam_over_empty_store_only_counts_steps():
+    opt = Adam(ParameterStore([]))
+    opt.step({}, lr=1e-3)
+    assert opt.step_count == 1 and opt.m == {} and opt.v == {}
+
+
+class _LoopAdam(Adam):
+    """The per-tensor loop the flat update replaced, kept as its oracle."""
+
+    def step(self, grads, lr):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for name, p in self.store.items():
+            g = grads[name].data
+            wd = self.weight_decay if self.decayed(name) else 0.0
+            if wd and not self.decoupled:
+                g = g + wd * p.data
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if wd and self.decoupled:
+                update = update + wd * p.data
+            p.data -= (lr * update).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_flat_adam_is_bit_identical_to_per_tensor_loop(dtype, decoupled):
+    # five training steps of the micro net, then one step of gradients with
+    # signed zeros and extreme magnitudes: parameters and both moments must
+    # match the loop's bit for bit
+    from csdn.autodiff import backward
+    from csdn.losses import hybrid_loss
+    from csdn.phantom import generate_phantom
+    samples = [generate_phantom(s, 64) for s in range(2)]
+    frames = np.stack([s.frames for s in samples])
+    labels = np.stack([s.label for s in samples])
+    nets = [CSDN(NetworkConfig.micro(), seed=3, dtype=dtype) for _ in range(2)]
+    stores = [net.parameter_store() for net in nets]
+    opts = [cls(store, weight_decay=1e-2, decoupled=decoupled)
+            for cls, store in zip((_LoopAdam, Adam), stores)]
+    rng = np.random.Generator(np.random.PCG64(5))
+    for step in range(6):
+        if step < 5:
+            grads = [backward(hybrid_loss(net(Tensor(frames.astype(dtype))),
+                                          labels.astype(np.int64), LossConfig()),
+                              store) for net, store in zip(nets, stores)]
+        else:
+            raw = {n: rng.normal(size=p.shape) * 10.0 ** rng.integers(-20, 16, p.shape)
+                   * rng.integers(-1, 2, p.shape) for n, p in stores[0].items()}
+            raw = {n: np.where(g == 0, np.copysign(0.0, rng.normal(size=g.shape)), g)
+                   for n, g in raw.items()}
+            grads = [{n: Tensor(g.astype(dtype)) for n, g in raw.items()}] * 2
+        for opt, g in zip(opts, grads):
+            opt.step(g, lr=1e-3)
+        for name in stores[0].names():
+            pairs = [(stores[0][name].data, stores[1][name].data),
+                     (opts[0].m[name], opts[1].m[name]),
+                     (opts[0].v[name], opts[1].v[name])]
+            for want, got in pairs:
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (step, name)
+
+
 # -- epoch loop ---------------------------------------------------------------
 
 
