@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import replace
@@ -164,6 +165,9 @@ def echo_config(net_cfg: NetworkConfig, train_cfg: TrainConfig,
 def cmd_gen_data(args) -> int:
     if args.size % 64:
         raise UsageError(f"size must be a multiple of 64 (got {args.size})")
+    if not (math.isfinite(args.spacing_mm) and args.spacing_mm > 0):
+        raise UsageError("spacing-mm must be finite and > 0 "
+                         f"(got {args.spacing_mm})")
     if args.n_train < 1 or args.n_val < 0:
         raise UsageError("need n-train >= 1 and n-val >= 0")
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
@@ -262,6 +266,9 @@ def cmd_bench(args) -> int:
                          f"(got {args.iters})")
     if args.size % 32:
         raise UsageError(f"size must be a multiple of 32 (got {args.size})")
+    if args.batch < 1 or args.warmup < 1:
+        raise UsageError(f"need batch >= 1 and warmup >= 1 (got batch "
+                         f"{args.batch}, warmup {args.warmup})")
     if args.weights:
         if not os.path.exists(args.weights):
             raise DataError(f"no weight file at {args.weights}")

@@ -1,19 +1,20 @@
 """Differentiable layer kernels on the rank-4 tensor type.
 
-Dense convolution runs as a channel-major im2col (one copy per kernel tap)
-and one GEMM per image whose output is already NCHW. Only a weight
-gradient keeps the columns, whole-map; any other dense conv (no_grad
-forwards, the stride-1 input gradient) fills and multiplies them one
-cache-sized band of output rows at a time. Depthwise convolution and
-pooling run as k*k shifted-slice sweeps. A stride-1 convolution reads its
-taps from one flat zero-padded buffer, where each tap is a contiguous
-slice; a strided one reads strided views of the padded map, and its
-input gradient scatters the taps back (col2im). Resize applies cached
-per-axis interpolation matrices with broadcast matmul, so the backward
-pass is the transposed product; the exact half-size bicubic of the
-network's front end runs forward as its fixed 4-tap filter instead.
-Convolution is cross-correlation; padding is zeros (max pooling pads with
--inf and average pooling counts only in-bounds elements).
+Every windowed op reads one flat padded buffer (``_flat_pad``; -inf for
+max pooling, zeros otherwise): at stride 1 each kernel tap is a
+contiguous slice of it, at other strides a strided view of the padded
+map. One correlation routine serves every conv forward and the stride-1
+input gradient; a strided input gradient scatters the taps back (col2im).
+Average pooling is that correlation with a ones kernel over the in-bounds
+counts, with col2im as its backward; max pooling reads the same views.
+Dense correlation runs as a channel-major im2col (one copy per tap) and
+one GEMM per image whose output is already NCHW; only a weight gradient
+keeps the columns, and any other dense conv fills and multiplies them one
+cache-sized band of output rows at a time. Depthwise correlation is k*k
+shifted multiply-accumulates. Resize applies cached per-axis
+interpolation matrices with broadcast matmul, so the backward pass is the
+transposed product; the exact half-size bicubic of the network's front
+end runs forward as its fixed 4-tap filter instead.
 """
 
 from __future__ import annotations
@@ -50,16 +51,20 @@ def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow, r0=0):
             yield i, j, xp[:, :, t:t + sh * oh:sh, j:j + sw * ow:sw]
 
 
-def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int) -> tuple[np.ndarray, int]:
-    """Zero-pad (n, c, h, w) into a flat (n, c, (h+2ph+1) * wp) buffer with
-    row length wp = w + 2pw; returns (buffer, wp). The spare row keeps the
-    last stride-1 tap in bounds. A 1-wide kernel with no padding reads x
-    itself, flattened."""
+def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
+              fill: float = 0.0) -> tuple[np.ndarray, int]:
+    """Pad (n, c, h, w) with ``fill`` into a flat (n, c, (h+2ph+1) * wp)
+    buffer with row length wp = w + 2pw; returns (buffer, wp). Seen as
+    (n, c, h+2ph+1, wp) it is the padded map that ``_taps`` reads; the
+    spare row keeps the last stride-1 tap in bounds. A 1-wide kernel with
+    no padding reads x itself, flattened."""
     n, c, h, w = x.shape
     if not (ph or pw) and kw == 1:
         return x.reshape(n, c, h * w), w
     hp, wp = h + 2 * ph, w + 2 * pw
-    flat = np.zeros((n, c, (hp + 1) * wp), dtype=x.dtype)
+    shape = (n, c, (hp + 1) * wp)
+    flat = (np.zeros(shape, dtype=x.dtype) if fill == 0
+            else np.full(shape, fill, dtype=x.dtype))
     flat.reshape(n, c, hp + 1, wp)[:, :, ph:ph + h, pw:pw + w] = x
     return flat, wp
 
@@ -110,41 +115,45 @@ def _im2col_gemm(taps, w, n, oh, ow, dtype, keep):
     return out.reshape(n, c_out, oh, ow), cols if keep else None
 
 
-def _depthwise(taps, w, shape, dtype):
-    """Depthwise correlation as k*k shifted multiply-accumulates:
-    sum over taps (i, j) of tap * w[:, i, j], w (c, kh, kw)."""
-    out = np.zeros(shape, dtype=dtype)
-    tmp = np.empty_like(out)
-    for i, j, tap in taps:
-        out += np.multiply(tap, w[:, i, j, None, None], out=tmp)
-    return out
+def _corr(x: np.ndarray, w: np.ndarray, stride, padding, depthwise: bool,
+          keep: bool):
+    """Correlation of x with w (dense (c_out, c, kh, kw) or depthwise
+    (c or 1, kh, kw)) read from one ``_flat_pad`` buffer: at stride 1 as
+    contiguous ``_flat_taps`` over wp-wide rows, else as strided ``_taps``
+    over ow-wide ones.
 
-
-def _corr_s1(x: np.ndarray, w: np.ndarray, ph: int, pw: int,
-             depthwise: bool, keep: bool):
-    """Stride-1 correlation of x with w (dense (c_out, c, kh, kw) or
-    depthwise (c, kh, kw)) through a flat padded buffer.
-
-    Returns (out, cache): cache is the flat buffer or, with ``keep``, the
-    dense columns (else None), both over wp-wide rows, for the weight
-    gradient."""
-    n, _, h, w_ = x.shape
+    Returns (out, cache, cols). The cache serves the weight gradient over
+    rows ``cols`` wide: depthwise, it is the tap reader taps(r0, rows);
+    dense, the columns with ``keep``, else None."""
+    n, c, h, w_ = x.shape
+    (sh, sw), (ph, pw) = stride, padding
     kh, kw = w.shape[-2:]
-    oh, ow = h + 2 * ph - kh + 1, w_ + 2 * pw - kw + 1
+    oh, ow = _out_size(h, kh, sh, ph), _out_size(w_, kw, sw, pw)
     flat, wp = _flat_pad(x, ph, pw, kw)
+    stride1 = (sh, sw) == (1, 1)
+    if stride1:
+        cols = wp
+
+        def taps(r0, r):
+            return _flat_taps(flat, kh, kw, wp, r, r0)
+    else:
+        cols, xp = ow, flat.reshape(n, c, -1, wp)
+
+        def taps(r0, r):
+            return _taps(xp, kh, kw, sh, sw, r, ow, r0)
     if depthwise:
-        out = _depthwise(_flat_taps(flat, kh, kw, wp, oh), w,
-                         (n, w.shape[0], oh, wp), np.result_type(x, w))
-        cache = flat
-    elif (kh, kw) == (1, 1):
+        out = np.zeros((n, c, oh, cols), dtype=np.result_type(x, w))
+        tmp = np.empty_like(out)
+        for i, j, tap in taps(0, oh):
+            out += np.multiply(tap, w[:, i, j, None, None], out=tmp)
+        cache = taps
+    elif stride1 and (kh, kw) == (1, 1):
         cache = flat[:, :, :oh * wp]
         out = np.matmul(w.reshape(w.shape[0], -1), cache)
         out = out.reshape(n, w.shape[0], oh, wp)
     else:
-        out, cache = _im2col_gemm(
-            lambda r0, r: _flat_taps(flat, kh, kw, wp, r, r0), w, n, oh, wp,
-            x.dtype, keep)
-    return np.ascontiguousarray(out[:, :, :, :ow]), cache
+        out, cache = _im2col_gemm(taps, w, n, oh, cols, x.dtype, keep)
+    return np.ascontiguousarray(out[:, :, :, :ow]), cache, cols
 
 
 def _col2im(g: np.ndarray, w: np.ndarray, hp: int, wp: int, sh: int,
@@ -187,30 +196,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"weight expects {c_in_g} input channels, input has {c}")
     if bias is not None and bias.shape != (1, c_out, 1, 1):
         raise ValueError(f"bias shape {bias.shape} != (1,{c_out},1,1)")
-    oh = _out_size(h, kh, sh, ph)
-    ow = _out_size(w, kw, sw, pw)
-
     w_data = weight.data
     w_eff = w_data[:, 0] if depthwise else w_data
     inputs = [x, weight] + ([bias] if bias is not None else [])
     # the dense columns are kept only for a weight gradient that will be taken
     keep = grad_enabled() and any(t.requires_grad for t in inputs)
-    stride1 = (sh, sw) == (1, 1)
-    if stride1:
-        out_data, cache = _corr_s1(x.data, w_eff, ph, pw, depthwise, keep)
-        wp = w + 2 * pw
-    else:
-        xp = x.data
-        if ph or pw:
-            xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        if depthwise:
-            out_data = _depthwise(_taps(xp, kh, kw, sh, sw, oh, ow), w_eff,
-                                  (n, c, oh, ow), np.result_type(xp, w_data))
-            cache = xp
-        else:
-            out_data, cache = _im2col_gemm(
-                lambda r0, r: _taps(xp, kh, kw, sh, sw, r, ow, r0), w_data,
-                n, oh, ow, xp.dtype, keep)
+    out_data, cache, cols = _corr(x.data, w_eff, (sh, sw), (ph, pw),
+                                  depthwise, keep)
+    oh, ow = out_data.shape[2:]
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -218,8 +211,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        gz = g
-        if stride1:
+        if (sh, sw) == (1, 1):
             if kh - 1 - ph < 0 or kw - 1 - pw < 0:
                 raise ValueError(f"padding {ph, pw} exceeds kernel-1 "
                                  f"{kh - 1, kw - 1}")
@@ -227,20 +219,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             w_flip = w_eff[..., ::-1, ::-1]
             if not depthwise:
                 w_flip = np.ascontiguousarray(w_flip.transpose(1, 0, 2, 3))
-            gx, _ = _corr_s1(g, w_flip, kh - 1 - ph, kw - 1 - pw, depthwise,
-                             False)
-            # the cache spans wp-wide rows: zero g over the wrapped columns
-            if wp != ow:
-                gz = np.zeros((n, c_out, oh, wp), dtype=g.dtype)
-                gz[:, :, :, :ow] = g
+            gx = _corr(g, w_flip, (1, 1), (kh - 1 - ph, kw - 1 - pw),
+                       depthwise, False)[0]
         else:
             gxp = _col2im(g, w_eff, h + 2 * ph, w + 2 * pw, sh, sw, depthwise)
             gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
+        # the cache spans cols-wide rows: zero g over the wrapped columns
+        gz = g
+        if cols != ow:
+            gz = np.zeros((n, c_out, oh, cols), dtype=g.dtype)
+            gz[:, :, :, :ow] = g
         if depthwise:
-            taps = (_flat_taps(cache, kh, kw, wp, oh) if stride1
-                    else _taps(cache, kh, kw, sh, sw, oh, ow))
             gw = np.empty_like(w_data)
-            for i, j, tap in taps:
+            for i, j, tap in cache(0, oh):
                 gw[:, 0, i, j] = np.einsum("nchw,nchw->c", gz, tap)
         else:
             gw = np.matmul(gz.reshape(n, c_out, -1), cache.transpose(0, 2, 1))
@@ -315,47 +306,39 @@ def pool2d(kind: str, x: Tensor, kernel=3, stride=2, padding=1) -> Tensor:
     n, c, h, w = x.shape
     oh = _out_size(h, kh, sh, ph)
     ow = _out_size(w, kw, sw, pw)
-    offsets = [(di, dj) for di in range(kh) for dj in range(kw)]
 
     if kind == "max":
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    constant_values=-np.inf)
+        flat, wp = _flat_pad(x.data, ph, pw, kw, -np.inf)
+        xp = flat.reshape(n, c, -1, wp)
         best = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
-        for di, dj in offsets:
-            np.maximum(best, xp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw],
-                       out=best)
+        for _, _, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
+            np.maximum(best, tap, out=best)
         out = Tensor(best)
 
         def bwd(g):
             # each window routes to its first row-major maximum, then closes
             gp = np.zeros_like(xp)
             open_ = np.ones(best.shape, dtype=bool)
-            for di, dj in offsets:
-                sl = (slice(None), slice(None), slice(di, di + sh * oh, sh),
-                      slice(dj, dj + sw * ow, sw))
-                hit = open_ & (xp[sl] == best)
-                gp[sl] += np.where(hit, g, 0.0)
+            for (_, _, tap), (_, _, gtap) in zip(
+                    _taps(xp, kh, kw, sh, sw, oh, ow),
+                    _taps(gp, kh, kw, sh, sw, oh, ow)):
+                hit = open_ & (tap == best)
+                gtap += np.where(hit, g, 0.0)
                 open_ &= ~hit
             return (np.ascontiguousarray(gp[:, :, ph:ph + h, pw:pw + w]),)
 
         return record(out, [x], bwd, "max_pool2d")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    ones = np.zeros((1, 1, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    ones[:, :, ph:ph + h, pw:pw + w] = 1.0
-    acc = np.zeros((n, c, oh, ow), dtype=x.dtype)
-    cnt = np.zeros((1, 1, oh, ow), dtype=x.dtype)
-    for di, dj in offsets:
-        acc += xp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw]
-        cnt += ones[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw]
+    # a depthwise correlation with a ones kernel, over the window sums of x
+    # and of an all-ones image (the in-bounds counts)
+    ones = np.ones((1, kh, kw), dtype=x.dtype)
+    acc, cnt = (_corr(a, ones, (sh, sw), (ph, pw), True, False)[0]
+                for a in (x.data, np.ones((1, 1, h, w), dtype=x.dtype)))
     out = Tensor(acc / cnt)
 
     def bwd(g):
-        gn = g / cnt
-        gp = np.zeros_like(xp)
-        for di, dj in offsets:
-            gp[:, :, di:di + sh * oh:sh, dj:dj + sw * ow:sw] += gn
-        return (np.ascontiguousarray(gp[:, :, ph:ph + h, pw:pw + w]),)
+        gxp = _col2im(g / cnt, ones, h + 2 * ph, w + 2 * pw, sh, sw, True)
+        return (np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),)
 
     return record(out, [x], bwd, "avg_pool2d")
 

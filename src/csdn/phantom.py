@@ -358,20 +358,32 @@ def load_manifest(root: str) -> DatasetManifest:
         raise ValueError(f"{path}: empty manifest")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "csdn-dataset" or head[1] != "v1":
-        raise ValueError(f"{path}: bad manifest header {lines[0]!r}")
-    spacing = float(head[2].split("=", 1)[1])
-    size = int(head[3].split("=", 1)[1])
+        raise ValueError(f"{path}:1: bad manifest header {lines[0]!r}")
+    fields = dict(tok.partition("=")[::2] for tok in head[2:])
+    try:
+        spacing = float(fields["spacing"])
+        size = int(fields["size"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}:1: bad manifest header {lines[0]!r}: need "
+                         "spacing=<mm> and size=<pixels>") from None
+    if not (math.isfinite(spacing) and spacing > 0) or size < 1:
+        raise ValueError(f"{path}:1: need a finite spacing > 0 and a size "
+                         f">= 1, got spacing={spacing} size={size}")
     train_ids, val_ids = [], []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
-        sid, split = ln.split()
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{i}: expected '<id> <split>', "
+                             f"got {ln!r}")
+        sid, split = parts
         if split == "train":
             train_ids.append(sid)
         elif split == "val":
             val_ids.append(sid)
         else:
-            raise ValueError(f"{path}: unknown split {split!r}")
+            raise ValueError(f"{path}:{i}: unknown split {split!r}")
     if set(train_ids) & set(val_ids):
         raise ValueError(f"{path}: train and val ids overlap")
     return DatasetManifest(root=root, spacing_mm=spacing, size=size,

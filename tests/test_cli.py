@@ -162,6 +162,16 @@ def test_gen_data_size_guard(tmp_path, capsys):
     assert "multiple of 64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spacing", ["0", "-0.02", "nan", "inf"])
+def test_gen_data_spacing_guard(tmp_path, capsys, spacing):
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--out", str(out), "--size", "64",
+               "--spacing-mm", spacing])
+    assert rc == 1
+    assert "spacing-mm must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_refuses_overwrite(ds64, tmp_path, capsys):
     rc = main(["gen-data", "--out", str(ds64), "--n-train", "1",
                "--n-val", "0", "--size", "64"])
@@ -305,6 +315,11 @@ def test_bench_guards(capsys):
     assert "10" in capsys.readouterr().err
     assert main(["bench", "--size", "33"]) == 1
     assert "multiple of 32" in capsys.readouterr().err
+    for flag in ("--batch", "--warmup"):
+        assert main(["bench", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need batch >= 1 and warmup >= 1")
+        assert err.count("\n") == 1
 
 
 def test_bench_micro(micro_weights, capsys):

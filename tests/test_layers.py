@@ -210,16 +210,18 @@ def test_col2im_input_gradient_matches_dilated_canvas(depthwise):
             assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def strided_depthwise(x, w, padding):
+def strided_depthwise(x, w, padding, stride=1):
     # the strided-tap loop: zero-init, then += tap * w per tap in (i, j) order
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     c, _, kh, kw = w.shape
-    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
     out = np.zeros((x.shape[0], c, oh, ow), dtype=x.dtype)
     tmp = np.empty_like(out)
     for i in range(kh):
         for j in range(kw):
-            out += np.multiply(xp[:, :, i:i + oh, j:j + ow],
+            out += np.multiply(xp[:, :, i:i + stride * oh:stride,
+                                  j:j + stride * ow:stride],
                                w[:, 0, i, j].reshape(1, c, 1, 1), out=tmp)
     return out
 
@@ -228,12 +230,129 @@ def test_flat_depthwise_is_bit_identical_to_strided_taps():
     rng = np.random.Generator(np.random.PCG64(81))
     for shape, padding in (((2, 6, 9, 7), 1), ((3, 4, 8, 8), 0),
                            ((1, 5, 16, 12), 1)):
-        x = rng.normal(size=shape).astype(np.float32)
-        w = rng.normal(size=(shape[1], 1, 3, 3)).astype(np.float32)
-        got = conv2d(Tensor(x), Tensor(w), None, stride=1, padding=padding,
-                     groups=shape[1]).data
-        assert got.dtype == np.float32
-        assert np.array_equal(got, strided_depthwise(x, w, padding))
+        for dtype in (np.float32, F64):
+            x = rng.normal(size=shape).astype(dtype)
+            w = rng.normal(size=(shape[1], 1, 3, 3)).astype(dtype)
+            for stride in (1, 2):
+                got = conv2d(Tensor(x), Tensor(w), None, stride=stride,
+                             padding=padding, groups=shape[1]).data
+                assert got.dtype == dtype
+                assert np.array_equal(
+                    got, strided_depthwise(x, w, padding, stride))
+
+
+# The strided conv and the two pools as they ran before every windowed op
+# read one flat padded buffer: np.pad, then strided taps of the padded map.
+# Kept as the oracle the shared machinery must match bit for bit.
+
+
+def np_pad_strided_conv(x, w, b, g, stride, padding, depthwise):
+    """(output, input, weight and bias gradients) of a strided conv under
+    the cotangent g."""
+    s, p = stride, padding
+    n, c = x.shape[:2]
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    oh, ow = g.shape[2:]
+
+    def taps(a):
+        for i in range(kh):
+            for j in range(kw):
+                yield i, j, a[:, :, i:i + s * oh:s, j:j + s * ow:s]
+
+    gxp = np.zeros_like(xp)
+    if depthwise:
+        y = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        tmp = np.empty_like(y)
+        for i, j, tap in taps(xp):
+            y += np.multiply(tap, w[:, 0, i, j, None, None], out=tmp)
+        for i, j, tap in taps(gxp):
+            tap += np.multiply(g, w[:, 0, i, j, None, None], out=tmp)
+        gw = np.empty_like(w)
+        for i, j, tap in taps(xp):
+            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, tap)
+    else:
+        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
+        for i, j, tap in taps(xp):
+            cols[:, :, i, j] = tap
+        cols = cols.reshape(n, c * kh * kw, oh * ow)
+        y = np.matmul(w.reshape(c_out, -1), cols).reshape(n, c_out, oh, ow)
+        gcols = np.matmul(w.reshape(c_out, -1).T, g.reshape(n, c_out, -1))
+        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+        for i, j, tap in taps(gxp):
+            tap += gcols[:, :, i, j]
+        gw = np.matmul(g.reshape(n, c_out, -1), cols.transpose(0, 2, 1))
+        gw = gw.sum(axis=0).reshape(w.shape)
+    y += b
+    gx = gxp[:, :, p:p + x.shape[2], p:p + x.shape[3]]
+    return y, gx, gw, g.sum(axis=(0, 2, 3)).reshape(b.shape)
+
+
+def np_pad_pool(kind, x, g, k, s, p):
+    """(output, input gradient) of a max or in-bounds average pool under
+    the cotangent g."""
+    n, c, h, w = x.shape
+    oh, ow = g.shape[2:]
+    offsets = [(slice(None), slice(None), slice(di, di + s * oh, s),
+                slice(dj, dj + s * ow, s))
+               for di in range(k) for dj in range(k)]
+    if kind == "max":
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)),
+                    constant_values=-np.inf)
+        best = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
+        for sl in offsets:
+            np.maximum(best, xp[sl], out=best)
+        gp = np.zeros_like(xp)
+        open_ = np.ones(best.shape, dtype=bool)
+        for sl in offsets:
+            hit = open_ & (xp[sl] == best)
+            gp[sl] += np.where(hit, g, 0.0)
+            open_ &= ~hit
+        return best, gp[:, :, p:p + h, p:p + w]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    ones = np.zeros((1, 1, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    ones[:, :, p:p + h, p:p + w] = 1.0
+    acc = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    cnt = np.zeros((1, 1, oh, ow), dtype=x.dtype)
+    for sl in offsets:
+        acc += xp[sl]
+        cnt += ones[sl]
+    gn = g / cnt
+    gp = np.zeros_like(xp)
+    for sl in offsets:
+        gp[sl] += gn
+    return acc / cnt, gp[:, :, p:p + h, p:p + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_strided_conv_and_pools_match_np_pad_oracle(dtype):
+    rng = np.random.Generator(np.random.PCG64(85))
+    for depthwise in (False, True):
+        for k, padding in ((3, 1), (3, 0), (1, 0), (5, 2)):
+            x = rng.normal(size=(2, 4, 9, 10)).astype(dtype)
+            shape = (4, 1, k, k) if depthwise else (5, 4, k, k)
+            w = rng.normal(size=shape).astype(dtype)
+            b = rng.normal(size=(1, shape[0], 1, 1)).astype(dtype)
+            oh, ow = _out_size(9, k, 2, padding), _out_size(10, k, 2, padding)
+            g = rng.normal(size=(2, shape[0], oh, ow)).astype(dtype)
+            got = _run(lambda *ts: (conv2d(*ts, stride=2, padding=padding,
+                                           groups=4 if depthwise else 1),),
+                       (x, w, b), g)
+            want = np_pad_strided_conv(x, w, b, g, 2, padding, depthwise)
+            for u, v in zip(got, want, strict=True):
+                assert u.dtype == dtype
+                assert np.array_equal(u, v), (depthwise, k, padding)
+    for kind in ("max", "avg"):
+        for k, s, p in ((3, 2, 1), (2, 2, 0), (3, 1, 1)):
+            # integer values: max-pool windows tie, inside and across windows
+            x = rng.integers(-2, 3, size=(2, 3, 9, 8)).astype(dtype)
+            g = rng.normal(size=(2, 3, _out_size(9, k, s, p),
+                                 _out_size(8, k, s, p))).astype(dtype)
+            got = _run(lambda t: (pool2d(kind, t, k, s, p),), (x,), g)
+            for u, v in zip(got, np_pad_pool(kind, x, g, k, s, p),
+                            strict=True):
+                assert u.dtype == dtype
+                assert np.array_equal(u, v), (kind, k, s, p)
 
 
 # (input shape, kernel, padding) per stride, each with 17 or 18 output

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from csdn.cli import main
 from csdn.phantom import (DEFAULT_SPACING_MM, AugmentConfig, Dataset, Ellipse,
                           apply_affine_image, augment, batches, draw_augment,
                           generate_dataset, generate_phantom, load_manifest,
@@ -171,7 +172,7 @@ def test_manifest_roundtrip(tmp_path):
     assert ds.val[0].frames.shape == (3, 64, 64)
 
 
-def test_manifest_errors(tmp_path):
+def test_manifest_errors(tmp_path, capsys):
     with pytest.raises(FileNotFoundError, match="missing manifest"):
         load_manifest(str(tmp_path / "nope"))
     root = str(tmp_path / "bad")
@@ -189,6 +190,36 @@ def test_manifest_errors(tmp_path):
         fh.write("csdn-dataset v1 spacing=0.02 size=64\na train\na val\n")
     with pytest.raises(ValueError, match="overlap"):
         load_manifest(root)
+    # each names the file and the line
+    for text, line, msg in (
+            ("csdn-dataset v1 spacing0.02 size=64\n", 1, "bad manifest header"),
+            ("csdn-dataset v1 size=64 spacing=x\n", 1, "bad manifest header"),
+            ("csdn-dataset v1 spacing=0.02 size=6.5\n", 1,
+             "bad manifest header"),
+            ("csdn-dataset v1 spacing=-1 size=64\n", 1, "finite spacing > 0"),
+            ("csdn-dataset v1 spacing=0 size=64\n", 1, "finite spacing > 0"),
+            ("csdn-dataset v1 spacing=nan size=64\n", 1, "finite spacing > 0"),
+            ("csdn-dataset v1 spacing=inf size=64\n", 1, "finite spacing > 0"),
+            ("csdn-dataset v1 spacing=0.02 size=0\n", 1, "size >= 1"),
+            ("csdn-dataset v1 spacing=0.02 size=64\na train\n\nb val x\n",
+             4, "expected '<id> <split>'")):
+        with open(mpath, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=msg) as err:
+            load_manifest(root)
+        assert str(err.value).startswith(f"{mpath}:{line}: "), text
+    # the header is read by name, in either order
+    with open(mpath, "w") as fh:
+        fh.write("csdn-dataset v1 size=64 spacing=0.5\n")
+    man = load_manifest(root)
+    assert (man.spacing_mm, man.size) == (0.5, 64)
+    # through the CLI: exit 2 with one error line
+    with open(mpath, "w") as fh:
+        fh.write("csdn-dataset v1 spacing0.02 size=64\n")
+    assert main(["train", "--data", root, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mpath}:1: ") and err.count("\n") == 1
 
 
 def test_save_dataset_rejects_id_overlap(tmp_path):
