@@ -1,22 +1,5 @@
 """Two-stream convolutional segmentation network on a numpy autodiff core."""
 
-import os
-
-# BLAS thread pools must be pinned before numpy loads its backend, so this
-# runs at package import time. CSDN_THREADS=0 selects single-threaded
-# deterministic mode; unset leaves the backend defaults alone.
-_threads = os.environ.get("CSDN_THREADS")
-if _threads is not None:
-    try:
-        _n = int(_threads)
-    except ValueError:
-        _n = None
-    if _n is not None:
-        if _n <= 0:
-            _n = 1
-        for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[_var] = str(_n)
-
 
 def _steady_heap() -> bool:
     """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold

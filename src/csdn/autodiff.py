@@ -10,7 +10,6 @@ supports exactly one backward pass.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -317,120 +316,6 @@ def reduce_sum(a: Tensor) -> Tensor:
         return (np.broadcast_to(g.reshape(()), shape).astype(g.dtype, copy=True),)
 
     return record(out, [a], bwd, "sum")
-
-
-# -- finite-difference oracle -------------------------------------------------
-
-
-@dataclass
-class FiniteDiffReport:
-    max_rel_err: float
-    passed: bool
-    tol: float
-    checked: int
-    worst_coord: tuple[int, int, int, int] | None
-
-    def __str__(self):
-        state = "PASS" if self.passed else "FAIL"
-        return (f"{state} max_rel_err={self.max_rel_err:.3e} tol={self.tol:.1e} "
-                f"coords={self.checked}")
-
-
-def fd_coord_check(eval_at: Callable[[float], float], g_analytic: float,
-                   tol: float, h: float = 1e-4, atol: float = 1e-6) -> float:
-    """Gated relative error between ``g_analytic`` and a finite-difference
-    slope of ``eval_at`` (scalar loss as a function of one coordinate's
-    offset; the caller restores the coordinate afterwards).
-
-    Agreement within ``atol`` absolutely counts as exact: the stencil cannot
-    resolve slopes below its own noise floor, and a truly zero gradient (a
-    direction some downstream normalizer cancels) leaves roundoff on both
-    sides. A failing central difference is retried at a tenth of the step.
-    If that still fails, kinks (PReLU zeros, pool-argmax switches) inside the
-    stencil are assumed: the central quotient there averages branch slopes
-    and estimates no derivative. The fine ladder then compares against the
-    one-sided slopes at h/10 and against central differences at h/100 and
-    h/1000, where truncation is gone and f64 loss noise still resolves any
-    gradient above the ``2e-6`` floor. A genuine backward bug converges to a
-    wrong value at every step and matches none of these, so the coarser
-    ``1e-2`` acceptance on the fine ladder loses no detection power."""
-    def gated(g_fd, floor=atol):
-        diff = abs(g_analytic - g_fd)
-        return 0.0 if diff <= floor else diff / (abs(g_analytic) + abs(g_fd))
-
-    def central(step):
-        return (eval_at(step) - eval_at(-step)) / (2.0 * step)
-
-    rel = gated(central(h))
-    if rel < tol:
-        return rel
-    rel = min(rel, gated(central(h / 10.0)))
-    if rel < tol:
-        return rel
-    hs = h / 10.0
-    f0 = eval_at(0.0)
-    floor = max(atol, 2e-6)
-    fine = min(gated((eval_at(hs) - f0) / hs, floor),
-               gated((f0 - eval_at(-hs)) / hs, floor),
-               gated(central(h / 100.0), floor),
-               gated(central(h / 1000.0), floor))
-    if fine < 1e-2:
-        return fine
-    return rel
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float,
-                      h: float = 1e-4, max_coords: int | None = None,
-                      seed: int = 0, atol: float = 1e-6) -> FiniteDiffReport:
-    """Compare the autodiff gradient of scalar ``f`` at ``x`` with central differences.
-
-    ``f`` must be deterministic (checked by evaluating it twice) and ``x``
-    float64 so the h=1e-4 stencil is meaningful. When ``max_coords`` is set,
-    a deterministic sample of coordinates is probed instead of all of them.
-    Per-coordinate comparison semantics live in ``fd_coord_check``.
-    """
-    if x.dtype != np.float64:
-        raise AutodiffError("finite_diff_check requires a float64 input tensor")
-
-    with no_grad():
-        y1 = f(x).item()
-        y2 = f(x).item()
-    if y1 != y2:
-        raise AutodiffError("finite_diff_check: f is not deterministic "
-                            f"({y1!r} != {y2!r} on identical inputs)")
-
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if out.shape != (1, 1, 1, 1):
-        raise AutodiffError("finite_diff_check: f must be scalar-valued")
-    backward(out)
-    g_ad = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
-
-    coords = [tuple(c) for c in np.ndindex(*x.shape)]
-    if max_coords is not None and len(coords) > max_coords:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        idx = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in sorted(idx)]
-
-    max_rel = 0.0
-    worst = None
-    base = x.data.copy()
-    work = Tensor(base.copy())
-    with no_grad():
-        for c in coords:
-            orig = base[c]
-
-            def eval_at(d):
-                work.data[c] = orig + d
-                return f(work).item()
-
-            rel = fd_coord_check(eval_at, g_ad[c], tol, h=h, atol=atol)
-            work.data[c] = orig
-            if rel > max_rel:
-                max_rel = rel
-                worst = c
-    return FiniteDiffReport(max_rel_err=float(max_rel), passed=max_rel < tol,
-                            tol=tol, checked=len(coords), worst_coord=worst)
 
 
 # -- parameter store and module base ------------------------------------------

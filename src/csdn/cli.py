@@ -170,6 +170,8 @@ def cmd_gen_data(args) -> int:
                          f"(got {args.spacing_mm})")
     if args.n_train < 1 or args.n_val < 0:
         raise UsageError("need n-train >= 1 and n-val >= 0")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0 (got {args.seed})")
     if os.path.isdir(args.out) and os.listdir(args.out) and not args.force:
         raise DataError(f"output directory {args.out} is not empty "
                         "(rerun with --force to overwrite)")
@@ -289,6 +291,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and > 0 (got {args.tol})")
     if args.config:
         net_cfg, _tc, _lc = load_run_config(args.config)
     else:

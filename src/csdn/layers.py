@@ -599,9 +599,9 @@ class Conv2d(Module):
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__()
         kh, kw = _pair(kernel)
-        if in_channels % groups or out_channels % groups:
-            raise ValueError(f"groups {groups} must divide channels "
-                             f"{in_channels}->{out_channels}")
+        if groups != 1 and not in_channels == out_channels == groups:
+            raise ValueError(f"groups must be 1 or equal both channel counts, "
+                             f"got {groups} for {in_channels}->{out_channels}")
         self.stride = _pair(stride)
         self.padding = _pair(padding)
         self.groups = groups

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from csdn.autodiff import (AutodiffError, Module, ModuleList, ParameterStore,
-                           Tensor, add, backward, finite_diff_check, mul,
-                           no_grad, record, reduce_sum, scale, sub)
+                           Tensor, add, backward, mul, no_grad, record,
+                           reduce_sum, scale, sub)
+from csdn.gradcheck import finite_diff_check
 
 
 def rand(rng, *shape, grad=False, dtype=np.float64):

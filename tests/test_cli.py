@@ -160,6 +160,11 @@ def test_gen_data_size_guard(tmp_path, capsys):
     rc = main(["gen-data", "--out", str(tmp_path / "x"), "--size", "100"])
     assert rc == 1
     assert "multiple of 64" in capsys.readouterr().err
+    out = tmp_path / "y"
+    rc = main(["gen-data", "--out", str(out), "--size", "64", "--seed", "-1"])
+    assert rc == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spacing", ["0", "-0.02", "nan", "inf"])
@@ -344,6 +349,16 @@ def test_gradcheck_refuses_reference(tmp_path, capsys):
     rc = main(["gradcheck", "--config", cfg])
     assert rc == 1
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_gradcheck_tol_guard(capsys, tol):
+    rc = main(["gradcheck", "--tol", tol])
+    assert rc == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.count("error:") == 1
+    assert "--tol must be finite and > 0" in cap.err
 
 
 def test_gradcheck_micro(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """The gradient-verification suite itself: the per-coordinate comparator on
-functions with known kinks, the op and block sweeps, refusal of large
-networks, and detection of a deliberately corrupted backward."""
+functions with known kinks, the parameter probe, the op and block sweeps,
+refusal of large networks, and detection of a wrong backward kernel."""
 
 import numpy as np
 import pytest
 
-from csdn.autodiff import fd_coord_check
+from csdn import layers
+from csdn.autodiff import Tensor, reduce_sum
 from csdn.gradcheck import (PARAM_LIMIT, CheckResult, check_blocks, check_ops,
-                            run_suite)
+                            fd_coord_check, param_fd_check, run_suite)
 from csdn.model import NetworkConfig, count_parameters
 
 
@@ -51,10 +52,10 @@ def test_coord_check_survives_kink_near_the_point():
 
 
 def test_check_result_line():
-    ok = CheckResult("conv2d/input", 3.2e-7, 1e-4)
+    ok = CheckResult("conv2d/input", 3.2e-7, 1e-4, 128)
     assert ok.passed
     assert ok.line().startswith("PASS  conv2d/input")
-    bad = CheckResult("conv2d/weight", 0.5, 1e-4)
+    bad = CheckResult("conv2d/weight", 0.5, 1e-4, 180)
     assert not bad.passed
     assert bad.line().startswith("FAIL")
     assert "5.000e-01" in bad.line()
@@ -90,6 +91,14 @@ def test_block_sweep_passes():
     assert len(results) == 6
     for r in results:
         assert r.passed, r.line()
+    # without a coordinate cap the probe visits every parameter of the store
+    rng = np.random.Generator(np.random.PCG64(4))
+    conv = layers.Conv2d(2, 3, kernel=3, padding=1, rng=rng, dtype=np.float64)
+    x = Tensor(rng.normal(size=(1, 2, 5, 5)))
+    r = param_fd_check("conv", lambda: reduce_sum(conv(x)),
+                       conv.parameter_store(), max_coords=None)
+    assert r.passed, r.line()
+    assert r.checked == conv.num_parameters() == 57
 
 
 def test_suite_refuses_large_networks():
@@ -99,12 +108,24 @@ def test_suite_refuses_large_networks():
         run_suite(config=big, quiet=True)
 
 
-def test_suite_detects_injected_bug():
-    ok, results, _elapsed = run_suite(quiet=True, inject_bug=True)
+def test_suite_detects_injected_bug(monkeypatch):
+    # a PReLU backward whose alpha gradient is off by one: every check that
+    # runs a PReLU fails, and no check that runs none does
+    real = layers._prelu_bwd
+
+    def wrong(*args, **kw):
+        gx, galpha = real(*args, **kw)
+        return gx, galpha + 1.0
+
+    monkeypatch.setattr(layers, "_prelu_bwd", wrong)
+    ok, results, _elapsed = run_suite(NetworkConfig.micro(), quiet=True)
     assert not ok
-    bad = [r for r in results if r.name == "injected-bug"]
-    assert len(bad) == 1
-    assert bad[0].max_rel_err > 1e-2
+    failed = {r.name for r in results if not r.passed}
+    for name in ("prelu/alpha", "bn-prelu-train/alpha",
+                 "batchnorm-eval/alpha", "end-to-end/train/params"):
+        assert name in failed, name
+    for name in failed:
+        assert "conv" not in name and not name.endswith("/input"), name
 
 
 def test_suite_seed_stability():

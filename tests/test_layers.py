@@ -941,8 +941,10 @@ def test_conv_module_parameters():
 
     nobias = Conv2d(3, 8, bias=False)
     assert [n for n, _ in nobias.named_parameters()] == ["weight"]
-    with pytest.raises(ValueError, match="groups"):
-        Conv2d(3, 8, groups=2)
+    for c_in, c_out, groups in ((3, 8, 2), (4, 8, 2), (4, 8, 4)):
+        with pytest.raises(ValueError, match="groups"):
+            Conv2d(c_in, c_out, groups=groups)
+    assert Conv2d(4, 4, groups=4).weight.shape == (4, 1, 3, 3)
 
 
 def test_prelu_module_init():
