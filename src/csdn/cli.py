@@ -252,11 +252,11 @@ def cmd_infer(args) -> int:
             raise DataError(f"label shape {truth.shape} does not match "
                             f"frames {pred.shape}")
         lum, eem = region_masks(truth)
-        rgb[boundary_pixels(eem)] = (255, 0, 0)    # truth outer wall: red
-        rgb[boundary_pixels(lum)] = (0, 255, 0)    # truth lumen: green
+        rgb[tuple(boundary_pixels(eem).T)] = (255, 0, 0)  # truth outer wall: red
+        rgb[tuple(boundary_pixels(lum).T)] = (0, 255, 0)  # truth lumen: green
     lum, eem = region_masks(pred)
-    rgb[boundary_pixels(eem)] = (255, 165, 0)      # predicted outer: orange
-    rgb[boundary_pixels(lum)] = (255, 215, 0)      # predicted lumen: gold
+    rgb[tuple(boundary_pixels(eem).T)] = (255, 165, 0)  # predicted outer: orange
+    rgb[tuple(boundary_pixels(lum).T)] = (255, 215, 0)  # predicted lumen: gold
     _write_ppm(os.path.join(args.out, "overlay.ppm"), rgb)
     print(f"wrote {os.path.join(args.out, 'label.pgm')} and overlay.ppm")
     return 0

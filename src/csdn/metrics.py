@@ -7,10 +7,21 @@ both directed distance sets are pooled, and the percentile interpolates
 linearly between order statistics. The percentile is computed here rather
 than through a library call so an independent brute-force implementation
 can reproduce the value bit for bit.
+
+Nearest boundary distances come from one matrix of squared distances,
+d2 = |p|^2 - 2 p.q + |q|^2, made by a float64 GEMM of [y, x, 1, |p|^2]
+against [-2y', -2x', |q|^2, 1] one band of rows at a time; each band gives
+its rows' minima and lowers a running column minimum, so both directed sets
+come from one pass. Every product and partial sum is an integer far below
+2^53, so d2 is exact and its square root is the value an all-pairs
+brute force or a kd-tree gives. Above KD_TREE_PAIRS point pairs the matrix
+costs more than two kd-tree queries do (two noisy masks, or two long
+nearby contours), and cKDTree takes over.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -19,6 +30,9 @@ from scipy.spatial import cKDTree
 
 from .autodiff import Tensor, no_grad
 from .model import IN_FRAMES
+
+KD_TREE_PAIRS = 1 << 21  # hd95 uses kd-trees above this many point pairs
+GEMM_BAND = 1 << 16      # entries of the distance matrix filled at a time
 
 
 def region_masks(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,12 +72,16 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
-    """(k, 2) integer coordinates of mask pixels with an exposed 4-neighbor."""
+    """(k, 2) integer coordinates, in row-major order, of the mask pixels
+    with an exposed 4-neighbor."""
     mask = np.asarray(mask, dtype=bool)
-    padded = np.pad(mask, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(mask & ~interior)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be 2-d, got shape {mask.shape}")
+    interior = np.zeros_like(mask)  # the border row and column stay exposed
+    interior[1:-1, 1:-1] = (mask[:-2, 1:-1] & mask[2:, 1:-1]
+                            & mask[1:-1, :-2] & mask[1:-1, 2:])
+    flat = np.flatnonzero(mask & ~interior)
+    return np.stack(np.divmod(flat, mask.shape[1]), axis=1)
 
 
 def percentile_95(values: np.ndarray) -> float:
@@ -77,6 +95,24 @@ def percentile_95(values: np.ndarray) -> float:
     return float(d[lo] + (d[hi] - d[lo]) * (pos - lo))
 
 
+def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray):
+    """Squared distance from each point of pa to its nearest in pb, and from
+    each point of pb to its nearest in pa, from d2 = |p|^2 - 2 p.q + |q|^2
+    filled one band of about GEMM_BAND entries at a time."""
+    lhs = np.column_stack([pa, np.ones(len(pa)), (pa * pa).sum(axis=1)])
+    rhs = np.vstack([-2.0 * pb.T, (pb * pb).sum(axis=1), np.ones(len(pb))])
+    rows = max(1, GEMM_BAND // len(pb))
+    band = np.empty((min(rows, len(pa)), len(pb)))
+    d2_ab = np.empty(len(pa))
+    d2_ba = np.full(len(pb), np.inf)
+    for i in range(0, len(pa), rows):
+        part = lhs[i:i + rows]
+        d2 = np.matmul(part, rhs, out=band[:len(part)])
+        d2.min(axis=1, out=d2_ab[i:i + rows])
+        np.minimum(d2_ba, d2.min(axis=0), out=d2_ba)
+    return d2_ab, d2_ba
+
+
 def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
     """95th-percentile symmetric boundary distance in millimeters."""
     a, b = _check_pair(a, b)
@@ -84,8 +120,11 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
         raise ValueError("hd95 is undefined for an empty mask")
     pa = boundary_pixels(a).astype(np.float64)
     pb = boundary_pixels(b).astype(np.float64)
-    d_ab = cKDTree(pb).query(pa)[0]
-    d_ba = cKDTree(pa).query(pb)[0]
+    if len(pa) * len(pb) > KD_TREE_PAIRS:
+        d_ab = cKDTree(pb).query(pa)[0]
+        d_ba = cKDTree(pa).query(pb)[0]
+    else:
+        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb))
     return percentile_95(np.concatenate([d_ab, d_ba])) * spacing_mm
 
 
@@ -146,17 +185,26 @@ def label_map(logits: np.ndarray) -> np.ndarray:
     return label
 
 
-def predict_label(model, frames: np.ndarray) -> np.ndarray:
-    """Argmax class map of an eval-mode forward on one (3, H, W) stack."""
+@contextlib.contextmanager
+def eval_mode(model):
+    """Run the body with ``model`` in eval mode. A model in training mode is
+    switched once and switched back on the way out; one already in eval
+    mode is left alone."""
     was_training = model.training
-    model.eval()
+    if was_training:
+        model.eval()
     try:
-        with no_grad():
-            out = model(Tensor(frames[None].astype(model.dtype, copy=False)))
-        return label_map(out.main_logits.data[0])
+        yield
     finally:
         if was_training:
             model.train()
+
+
+def predict_label(model, frames: np.ndarray) -> np.ndarray:
+    """Argmax class map of an eval-mode forward on one (3, H, W) stack."""
+    with eval_mode(model), no_grad():
+        out = model(Tensor(frames[None].astype(model.dtype, copy=False)))
+    return label_map(out.main_logits.data[0])
 
 
 def evaluate(model, samples, spacing_mm: float | None = None) -> MetricsReport:
@@ -167,20 +215,21 @@ def evaluate(model, samples, spacing_mm: float | None = None) -> MetricsReport:
     sums = {r: {"dsc": 0.0, "iou": 0.0, "hd": 0.0, "hd_n": 0}
             for r in ("lumen", "eem")}
     excluded = set()
-    for s in samples:
-        sp = spacing_mm if spacing_mm is not None else s.spacing_mm
-        pred = predict_label(model, s.frames)
-        ms = sample_metrics(pred, s.label, sp)
-        for region, m in ms.items():
-            sums[region]["dsc"] += m.dsc
-            sums[region]["iou"] += m.iou
-            if m.hd95_mm is None:
-                excluded.add(s.id)
-            else:
-                sums[region]["hd"] += m.hd95_mm
-                sums[region]["hd_n"] += 1
-            rep.rows.append((s.id, region, m))
-        rep.n_samples += 1
+    with eval_mode(model):
+        for s in samples:
+            sp = spacing_mm if spacing_mm is not None else s.spacing_mm
+            pred = predict_label(model, s.frames)
+            ms = sample_metrics(pred, s.label, sp)
+            for region, m in ms.items():
+                sums[region]["dsc"] += m.dsc
+                sums[region]["iou"] += m.iou
+                if m.hd95_mm is None:
+                    excluded.add(s.id)
+                else:
+                    sums[region]["hd"] += m.hd95_mm
+                    sums[region]["hd_n"] += 1
+                rep.rows.append((s.id, region, m))
+            rep.n_samples += 1
     if rep.n_samples == 0:
         raise ValueError("evaluate needs a nonempty split")
     n = rep.n_samples

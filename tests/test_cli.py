@@ -16,6 +16,7 @@ from csdn import train as train_module
 from csdn.cli import (DataError, UsageError, echo_config, load_run_config,
                       main)
 from csdn.losses import LossConfig
+from csdn.metrics import boundary_pixels, region_masks
 from csdn.model import CSDN, NetworkConfig
 from csdn.phantom import read_pgm
 from csdn.serial import save_checkpoint, save_weights
@@ -299,11 +300,21 @@ def test_infer_writes_label_and_overlay(ds64, micro_weights, tmp_path,
     header, pixels = raw.split(b"255\n", 1)
     assert header == b"P6\n64 64\n"
     rgb = np.frombuffer(pixels, dtype=np.uint8).reshape(64, 64, 3)
-    colored = rgb[rgb[..., 0] != rgb[..., 1]]
+    painted = rgb[..., 0] != rgb[..., 1]
+    colored = rgb[painted]
     # contour colors only: truth red/green, prediction orange/gold
     palette = {(255, 0, 0), (0, 255, 0), (255, 165, 0), (255, 215, 0)}
     assert len(colored) > 0
     assert {tuple(px) for px in colored} <= palette
+    # exactly the pixels of the four contours are painted, and the predicted
+    # lumen, drawn last, shows gold
+    truth = read_pgm(str(ds64 / "train0000" / "label.pgm"))
+    contours = np.zeros((64, 64), dtype=bool)
+    for mask in (*region_masks(truth), *region_masks(label)):
+        contours[tuple(boundary_pixels(mask).T)] = True
+    assert np.array_equal(painted, contours)
+    lumen_edge = tuple(boundary_pixels(region_masks(label)[0]).T)
+    assert np.all(rgb[lumen_edge] == (255, 215, 0))
 
 
 def test_infer_missing_frame(micro_weights, tmp_path, capsys):

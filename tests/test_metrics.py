@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csdn.autodiff import Tensor
+from csdn import metrics
 from csdn.metrics import (MetricsReport, boundary_pixels, dsc, evaluate,
                           fps_benchmark, hd95, iou, label_map, percentile_95,
                           predict_label, region_masks, sample_metrics,
@@ -44,11 +45,16 @@ def brute_hd95(a, b, spacing):
     return float(d[lo] + (d[hi] - d[lo]) * (pos - lo)) * spacing
 
 
-def random_mask(rng, h, w):
+def random_mask(rng, h, w, p=0.3):
     while True:
-        m = rng.random(size=(h, w)) < 0.3
+        m = rng.random(size=(h, w)) < p
         if m.any():
             return m
+
+
+def disc(h, w, cy, cx, r):
+    yy, xx = np.mgrid[:h, :w]
+    return (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
 
 
 # -- dsc / iou ----------------------------------------------------------------
@@ -105,6 +111,22 @@ def test_boundary_pixels_border_counts_as_outside():
     assert [tuple(p) for p in boundary_pixels(single)] == [(1, 1)]
 
 
+def test_boundary_pixels_match_brute_force_in_order():
+    rng = np.random.Generator(np.random.PCG64(7))
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (7, 2), (3, 3)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 24, size=2))
+               for _ in range(23)]
+    for i, (h, w) in enumerate(shapes):
+        mask = rng.random(size=(h, w)) < (0.2, 0.5, 0.9)[i % 3]
+        got = boundary_pixels(mask)
+        assert got.shape == (len(got), 2)
+        # row-major order, like the scan of the brute force
+        assert np.array_equal(got, brute_boundary(mask)), (h, w)
+    assert boundary_pixels(np.zeros((4, 4), dtype=bool)).shape == (0, 2)
+    with pytest.raises(ValueError, match="2-d"):
+        boundary_pixels(np.ones((2, 3, 3), dtype=bool))
+
+
 def test_percentile_95_hand_cases():
     assert percentile_95(np.arange(101.0)) == 95.0
     assert percentile_95(np.array([0.0, 1.0])) == pytest.approx(0.95)
@@ -146,17 +168,56 @@ def test_hd95_empty_mask_raises():
         hd95(a, np.zeros((4, 4), dtype=bool), 0.02)
 
 
-def test_hd95_matches_brute_force_exactly():
+def hd95_cases():
+    """(a, b) mask pairs: random masks up to 20x20, a disc contour against
+    noise up to 64x64, and single-row, single-column and 1x1 masks."""
     for seed in range(60):
         rng = np.random.Generator(np.random.PCG64(seed))
         h = int(rng.integers(2, 20))
         w = int(rng.integers(2, 20))
-        a = random_mask(rng, h, w)
-        b = random_mask(rng, h, w)
+        yield random_mask(rng, h, w), random_mask(rng, h, w)
+    for seed, n in enumerate((9, 24, 40, 64)):
+        rng = np.random.Generator(np.random.PCG64(100 + seed))
+        yield disc(n, n, n / 2, n / 2 - 1, n / 3), random_mask(rng, n, n, 0.1)
+    rng = np.random.Generator(np.random.PCG64(200))
+    for h, w in ((1, 13), (11, 1), (1, 1), (1, 2), (2, 1)):
+        yield random_mask(rng, h, w, 0.5), random_mask(rng, h, w, 0.5)
+
+
+@pytest.mark.parametrize("pair_limit, band", [
+    pytest.param(1 << 62, metrics.GEMM_BAND, id="gemm"),
+    pytest.param(1 << 62, 1, id="gemm-one-row-bands"),
+    pytest.param(0, metrics.GEMM_BAND, id="kd-tree"),
+])
+def test_hd95_matches_brute_force_exactly(monkeypatch, pair_limit, band):
+    monkeypatch.setattr(metrics, "KD_TREE_PAIRS", pair_limit)
+    monkeypatch.setattr(metrics, "GEMM_BAND", band)
+    for i, (a, b) in enumerate(hd95_cases()):
         got = hd95(a, b, 0.02)
         want = brute_hd95(a, b, 0.02)
-        assert got == want, (seed, h, w)
+        assert got == want, (i, a.shape)
         assert hd95(b, a, 0.02) == got  # pooling makes it symmetric
+
+
+def test_hd95_takes_kd_trees_only_above_the_pair_limit(monkeypatch):
+    built = []
+
+    class CountingTree(metrics.cKDTree):
+        def __init__(self, data):
+            built.append(len(data))
+            super().__init__(data)
+
+    monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+    eem = region_masks(generate_phantom(3, 256).label)[1]
+    shifted = np.roll(eem, (3, -2), axis=(0, 1))
+    assert hd95(eem, shifted, 1.0) == brute_hd95(eem, shifted, 1.0)
+    assert built == []
+    rng = np.random.Generator(np.random.PCG64(4))
+    a, b = random_mask(rng, 256, 256), random_mask(rng, 256, 256)
+    assert len(boundary_pixels(a)) * len(boundary_pixels(b)) \
+        > metrics.KD_TREE_PAIRS
+    hd95(a, b, 1.0)
+    assert len(built) == 2
 
 
 # -- label decomposition ------------------------------------------------------
@@ -188,14 +249,16 @@ def test_sample_metrics_empty_prediction():
 
 
 class ConstModel:
-    """Forward stub: fixed winning class everywhere."""
+    """Forward stub: fixed winning class everywhere; logs each mode switch."""
 
     def __init__(self, class_id):
         self.class_id = class_id
         self.training = True
         self.dtype = np.float32
+        self.switches = []
 
     def train(self, flag=True):
+        self.switches.append("train" if flag else "eval")
         self.training = flag
         return self
 
@@ -216,6 +279,33 @@ def test_predict_label_argmax_and_flag_restore():
     assert out.dtype == np.uint8
     assert np.all(out == 2)
     assert model.training  # entered training, restored after the eval pass
+    assert model.switches == ["eval", "train"]
+    model.eval()
+    model.switches.clear()
+    predict_label(model, frames)
+    assert not model.training and model.switches == []
+
+
+def test_evaluate_switches_mode_once_and_restores_it():
+    samples = [generate_phantom(s, 64, sample_id=f"m{s}") for s in range(3)]
+    model = ConstModel(2)
+    evaluate(model, samples)
+    assert model.training and model.switches == ["eval", "train"]
+
+    class FailsOnSecond(ConstModel):
+        calls = 0
+
+        def __call__(self, x):
+            assert not self.training
+            self.calls += 1
+            if self.calls == 2:
+                raise RuntimeError("forward failed")
+            return super().__call__(x)
+
+    model = FailsOnSecond(2)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        evaluate(model, samples)
+    assert model.training and model.switches == ["eval", "train"]
 
 
 def test_predict_and_evaluate_leave_the_frames_alone():
