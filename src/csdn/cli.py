@@ -70,17 +70,10 @@ def _parse_int3(val: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
-def _parse_alpha(val: str) -> tuple[float, ...] | None:
-    if val.lower() == "none":
-        return None
-    return tuple(float(p) for p in val.split(","))
-
-
 # value parser per field annotation (the config modules postpone
 # annotations, so each is the source text of the declared type)
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
-            "tuple[int, int, int]": _parse_int3,
-            "tuple[float, ...] | None": _parse_alpha}
+            "tuple[int, int, int]": _parse_int3}
 _KEYS = {"preset": _parse_preset}
 _KEYS.update((f.name, _PARSERS[f.type])
              for cls in (NetworkConfig, TrainConfig, LossConfig)
@@ -142,8 +135,6 @@ def load_run_config(path: str | None
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
@@ -279,7 +270,7 @@ def cmd_bench(args) -> int:
         net = CSDN(NetworkConfig(), seed=0)
     res = fps_benchmark(net, (args.size, args.size), batch=args.batch,
                         warmup_iters=args.warmup, timed_iters=args.iters)
-    n = count_parameters(net.config)
+    n = net.num_parameters()
     print(f"params: {n} ({n / 1000:.0f}K)")
     print(f"input: {args.size}x{args.size} batch {args.batch}, "
           f"{args.iters} timed iterations")

@@ -207,7 +207,7 @@ def predict_label(model, frames: np.ndarray) -> np.ndarray:
     return label_map(out.main_logits.data[0])
 
 
-def evaluate(model, samples, spacing_mm: float | None = None) -> MetricsReport:
+def evaluate(model, samples) -> MetricsReport:
     """Mean per-sample metrics over a split. Samples whose prediction is
     empty for a region keep their dsc/iou and are dropped from that
     region's hd95 mean, counted in the report."""
@@ -217,9 +217,8 @@ def evaluate(model, samples, spacing_mm: float | None = None) -> MetricsReport:
     excluded = set()
     with eval_mode(model):
         for s in samples:
-            sp = spacing_mm if spacing_mm is not None else s.spacing_mm
             pred = predict_label(model, s.frames)
-            ms = sample_metrics(pred, s.label, sp)
+            ms = sample_metrics(pred, s.label, s.spacing_mm)
             for region, m in ms.items():
                 sums[region]["dsc"] += m.dsc
                 sums[region]["iou"] += m.iou
@@ -256,14 +255,14 @@ def write_report_csv(path: str, rep: MetricsReport):
 def fps_benchmark(model, input_hw: tuple[int, int], batch: int = 1,
                   warmup_iters: int = 2, timed_iters: int = 20,
                   seed: int = 0) -> dict:
-    """Eval-mode forward throughput; wall-clock, single process."""
+    """Eval-mode forward throughput; wall-clock, single process. The model
+    leaves in the mode it came in."""
     if warmup_iters < 1 or timed_iters < 10:
         raise ValueError("need warmup >= 1 and timed iterations >= 10")
-    model.eval()
     rng = np.random.Generator(np.random.PCG64(seed))
     x = Tensor(rng.uniform(0.0, 1.0, size=(batch, IN_FRAMES, *input_hw))
                .astype(model.dtype))
-    with no_grad():
+    with eval_mode(model), no_grad():
         for _ in range(warmup_iters):
             model(x)
         lat = []

@@ -272,7 +272,13 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
 def resume(path: str, dataset: Dataset, cfg: TrainConfig,
            loss_cfg: LossConfig, out_dir: str | None = None,
            quiet: bool = False) -> list[EpochLog]:
+    """Continue the run saved at ``path``. The data order and augmentation
+    follow the master seed, so ``cfg.seed`` must be the checkpoint's."""
     net, opt_state, trailer = load_checkpoint(path)
+    if trailer["master_seed"] != cfg.seed:
+        raise ValueError(f"{path}: checkpoint was trained with seed "
+                         f"{trailer['master_seed']}, config has seed "
+                         f"{cfg.seed}")
     if opt_state is None:
         print("warning: checkpoint has no optimizer state; "
               "training restarts with fresh moments", flush=True)

@@ -52,7 +52,7 @@ def test_defaults_without_config():
     net, tr, lo = load_run_config(None)
     assert net == NetworkConfig()
     assert tr.epochs == 300 and tr.augment == "full"
-    assert lo.focal_gamma == 2.0 and lo.focal_alpha is None
+    assert lo.focal_gamma == 2.0
 
 
 def test_config_overlay(tmp_path):
@@ -65,14 +65,12 @@ def test_config_overlay(tmp_path):
         "augment = none",
         "decoupled_decay = yes",
         "focal_gamma = 0",
-        "focal_alpha = 1,2,4",
     ]))
     net, tr, lo = load_run_config(path)
     assert net.stem_channels == NetworkConfig.micro().stem_channels
     assert tr.epochs == 2 and tr.lr0 == 0.01 and tr.augment == "none"
     assert tr.decoupled_decay is True
     assert lo.focal_gamma == 0.0
-    assert lo.focal_alpha == (1.0, 2.0, 4.0)
     assert lo.aux_weight == 0.2
 
 
@@ -89,6 +87,11 @@ def test_unknown_key_reports_file_and_line(tmp_path):
     path = write_cfg(tmp_path, "# header\nepochs = 3\ncolour = blue\n")
     with pytest.raises(UsageError, match=r"run\.cfg:3: unknown key 'colour'"):
         load_run_config(path)
+    for key in ("focal_alpha", "dice_eps"):
+        path = write_cfg(tmp_path, f"epochs = 3\n{key} = 1\n")
+        with pytest.raises(UsageError,
+                           match=rf"run\.cfg:2: unknown key '{key}'"):
+            load_run_config(path)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -135,7 +138,7 @@ def test_constraint_violations_point_at_file(tmp_path):
 def test_echo_round_trips(tmp_path):
     first = write_cfg(tmp_path, "preset = tiny\nepochs = 7\n"
                                 "decoupled_decay = true\n"
-                                "focal_alpha = 1,2,4\n")
+                                "ge_layers = 1,2,3\n")
     net1, tr1, lo1 = load_run_config(first)
     echoed = tmp_path / "echo.cfg"
     echoed.write_text("\n".join(echo_config(net1, tr1, lo1)) + "\n")
@@ -253,6 +256,21 @@ def test_train_resume_rejects_unpaired_moments(ds64, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "pair" in err[0]
+
+
+def test_train_resume_rejects_other_seed(ds64, tmp_path, capsys):
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    path = tmp_path / "seed5.ckpt"
+    save_checkpoint(str(path), net, None, epoch=0, global_step=1,
+                    master_seed=5, best_val_dsc=-1.0)
+    out = tmp_path / "o"
+    rc = main(["train", "--data", str(ds64), "--out", str(out),
+               "--resume", str(path), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: checkpoint was trained with seed 5, "
+                   "config has seed 0"]
+    assert not (out / "log.csv").exists()
 
 
 def test_train_missing_data(tmp_path, capsys):

@@ -19,7 +19,7 @@ def labels_(rng, n=2, k=3, h=5, w=4):
     return rng.integers(0, k, size=(n, h, w))
 
 
-def focal_oracle(z, y, gamma, alpha):
+def focal_oracle(z, y, gamma):
     # literal per-pixel loop over the definition
     n, k, h, w = z.shape
     total = 0.0
@@ -28,8 +28,7 @@ def focal_oracle(z, y, gamma, alpha):
             for c in range(w):
                 p = softmax(z[i, :, r, c])
                 py = p[y[i, r, c]]
-                a = alpha[y[i, r, c]]
-                total += -a * (1.0 - py) ** gamma * np.log(py)
+                total += -(1.0 - py) ** gamma * np.log(py)
     return total / (n * h * w)
 
 
@@ -52,7 +51,7 @@ def test_focal_matches_oracle():
         rng = np.random.Generator(np.random.PCG64(seed))
         z, y = logits_(rng), labels_(rng)
         got = focal_loss(z, y, cfg).item()
-        want = focal_oracle(z.data, y, 2.0, np.ones(3))
+        want = focal_oracle(z.data, y, 2.0)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -61,17 +60,8 @@ def test_focal_gamma_variants():
         rng = np.random.Generator(np.random.PCG64(17))
         z, y = logits_(rng), labels_(rng)
         got = focal_loss(z, y, LossConfig(focal_gamma=gamma)).item()
-        want = focal_oracle(z.data, y, gamma, np.ones(3))
+        want = focal_oracle(z.data, y, gamma)
         assert got == pytest.approx(want, abs=1e-10), gamma
-
-
-def test_focal_alpha_weighting():
-    alpha = (1.0, 2.0, 4.0)
-    rng = np.random.Generator(np.random.PCG64(21))
-    z, y = logits_(rng), labels_(rng)
-    got = focal_loss(z, y, LossConfig(focal_gamma=1.5, focal_alpha=alpha)).item()
-    want = focal_oracle(z.data, y, 1.5, np.asarray(alpha))
-    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_focal_gamma_zero_is_cross_entropy():
@@ -97,7 +87,7 @@ def test_shift_invariance():
 
 
 def test_dice_matches_oracle():
-    cfg = LossConfig(dice_eps=1e-5)
+    cfg = LossConfig()
     for seed in range(6):
         rng = np.random.Generator(np.random.PCG64(seed + 50))
         z, y = logits_(rng), labels_(rng)
@@ -186,7 +176,7 @@ def _ref_head(logits, labels, cfg):
     labels = _ref_check_labels(labels, logits)
     n, k, h, w = logits.shape
     npix = n * h * w
-    gamma, eps = float(cfg.focal_gamma), float(cfg.dice_eps)
+    gamma, eps = float(cfg.focal_gamma), losses.DICE_EPS
 
     onehot = labels[:, None] == np.arange(k).reshape(1, k, 1, 1)
     p = logits.data - logits.data.max(axis=1, keepdims=True)
@@ -195,9 +185,8 @@ def _ref_head(logits, labels, cfg):
     sumexp = p.sum(axis=1, keepdims=True)
     p /= sumexp
     lsm_y -= np.log(sumexp)
-    a_y = cfg.alpha_vector(k).astype(p.dtype)[labels[:, None]]
     focal_w = 1.0 if gamma == 0.0 else (-np.expm1(lsm_y)) ** gamma
-    focal = float((-a_y * focal_w * lsm_y).sum() / npix)
+    focal = float((-focal_w * lsm_y).sum() / npix)
 
     inter = (p * onehot).sum(axis=(0, 2, 3))
     gsum = onehot.sum(axis=(0, 2, 3), dtype=p.dtype)
@@ -215,7 +204,7 @@ def _ref_head(logits, labels, cfg):
             with np.errstate(divide="ignore", invalid="ignore"):
                 bracket = om_u ** gamma - gamma * u * lsm_y * om_u ** (gamma - 1.0)
             bracket = np.where(om_u <= 0.0, 0.0, bracket)
-        c = (wf / npix) * a_y * bracket
+        c = (wf / npix) * bracket
         qs = np.where(present, (wd / kept) / denom ** 2, 0.0)
         a = ((2.0 * inter + eps) * qs).reshape(1, k, 1, 1)
         b_y = (2.0 * denom * qs)[labels[:, None]]
@@ -240,25 +229,23 @@ def test_hybrid_matches_per_batch_kernel(dtype, tol):
     # om_u <= 0 branch) in every head
     for n in (1, 3, 8):
         for gamma in (0.0, 0.5, 2.0, 3.0):
-            for alpha in (None, (0.5, 1.0, 2.5)):
-                cfg = LossConfig(focal_gamma=gamma, focal_alpha=alpha,
-                                 aux_weight=0.4)
-                rng = np.random.Generator(np.random.PCG64(n * 100 + int(gamma * 10)))
-                z = rng.normal(scale=3.0, size=(5, n, 3, 6, 5))
-                y = rng.integers(0, 2, size=(n, 6, 5))
-                z[:, 0, :, 0, 0] = (60.0, -60.0, -60.0)
-                y[0, 0, 0] = 0
-                heads = [Tensor(zi.astype(dtype), requires_grad=True) for zi in z]
-                want, want_grads = _ref_objective(
-                    [Tensor(zi.astype(dtype)) for zi in z],
-                    [(1.0, 1.0)] + [(0.4, 0.4)] * 4, y, cfg)
-                loss = hybrid_loss(CsdnOutput(heads[0], heads[1:]), y, cfg)
-                backward(loss)
-                case = (n, gamma, alpha)
-                assert abs(loss.item() - want) <= tol * abs(want), case
-                for h, g in zip(heads, want_grads):
-                    assert h.grad.dtype == dtype
-                    assert np.abs(h.grad - g).max() <= tol * np.abs(g).max(), case
+            cfg = LossConfig(focal_gamma=gamma, aux_weight=0.4)
+            rng = np.random.Generator(np.random.PCG64(n * 100 + int(gamma * 10)))
+            z = rng.normal(scale=3.0, size=(5, n, 3, 6, 5))
+            y = rng.integers(0, 2, size=(n, 6, 5))
+            z[:, 0, :, 0, 0] = (60.0, -60.0, -60.0)
+            y[0, 0, 0] = 0
+            heads = [Tensor(zi.astype(dtype), requires_grad=True) for zi in z]
+            want, want_grads = _ref_objective(
+                [Tensor(zi.astype(dtype)) for zi in z],
+                [(1.0, 1.0)] + [(0.4, 0.4)] * 4, y, cfg)
+            loss = hybrid_loss(CsdnOutput(heads[0], heads[1:]), y, cfg)
+            backward(loss)
+            case = (n, gamma)
+            assert abs(loss.item() - want) <= tol * abs(want), case
+            for h, g in zip(heads, want_grads):
+                assert h.grad.dtype == dtype
+                assert np.abs(h.grad - g).max() <= tol * np.abs(g).max(), case
 
 
 def test_label_validation():
@@ -282,9 +269,3 @@ def test_label_validation():
 def test_config_validation():
     with pytest.raises(ValueError, match="focal_gamma"):
         LossConfig(focal_gamma=-0.1)
-    with pytest.raises(ValueError, match="dice_eps"):
-        LossConfig(dice_eps=0.0)
-    with pytest.raises(ValueError, match="focal_alpha"):
-        LossConfig(focal_alpha=(1.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="entries"):
-        LossConfig(focal_alpha=(1.0, 2.0)).alpha_vector(3)

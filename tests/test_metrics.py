@@ -397,7 +397,9 @@ def test_fps_benchmark_guards_and_stats():
         fps_benchmark(net, (32, 32), timed_iters=5)
     with pytest.raises(ValueError, match="warmup"):
         fps_benchmark(net, (32, 32), warmup_iters=0)
+    assert net.training
     res = fps_benchmark(net, (32, 32), warmup_iters=1, timed_iters=10)
+    assert net.training
     assert res["fps"] > 0.0
     assert res["p95_ms"] >= res["p50_ms"] > 0.0
     assert res["iters"] == 10

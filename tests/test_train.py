@@ -330,6 +330,23 @@ def test_resume_matches_uninterrupted_run(small_ds, tmp_path):
         assert tr_a[key] == tr_b[key]
 
 
+def test_resume_rejects_other_seed(small_ds, tmp_path):
+    # the checkpoint's seed sets the data order, so resuming under another
+    # seed would silently break bit-exact resume
+    out = str(tmp_path / "run")
+    train(CSDN(NetworkConfig.micro(), seed=5), small_ds,
+          micro_cfg(epochs=1, seed=5), LossConfig(), out_dir=out, quiet=True)
+    ckpt = os.path.join(out, "last.ckpt")
+    with pytest.raises(ValueError) as info:
+        resume(ckpt, small_ds, micro_cfg(epochs=2), LossConfig(),
+               out_dir=out, quiet=True)
+    assert ckpt in str(info.value)
+    assert "seed 5" in str(info.value) and "seed 0" in str(info.value)
+    logs = resume(ckpt, small_ds, micro_cfg(epochs=2, seed=5), LossConfig(),
+                  out_dir=out, quiet=True)
+    assert [e.epoch for e in logs] == [1]
+
+
 def test_resume_without_optimizer_state_warns(small_ds, tmp_path, capsys):
     from csdn.serial import save_checkpoint
     net = CSDN(NetworkConfig.micro(), seed=0)
