@@ -103,12 +103,6 @@ class Tensor:
             raise AutodiffError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
-
     def __repr__(self):
         flags = []
         if self.requires_grad:
@@ -123,27 +117,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self) -> "Tensor":
-        return reduce_sum(self)
-
-    def backward(self, store: "ParameterStore | None" = None):
-        return backward(self, store)
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -263,22 +240,13 @@ def _binary(op: str, a: Tensor, b: Tensor) -> Tensor:
     if a.dtype != b.dtype:
         raise AutodiffError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
     axes = _broadcast_axes(a.shape, b.shape)
-    if op == "add":
-        out_data = a.data + b.data
-    elif op == "sub":
-        out_data = a.data - b.data
-    else:
-        out_data = a.data * b.data
-    out = Tensor(out_data)
-    a_shape, b_shape = a.shape, b.shape
+    out = Tensor(a.data + b.data if op == "add" else a.data * b.data)
+    b_shape = b.shape
     a_data, b_data = a.data, b.data
 
     if op == "add":
         def bwd(g):
             return g, _reduce_to(b_shape, g, axes)
-    elif op == "sub":
-        def bwd(g):
-            return g, _reduce_to(b_shape, -g, axes)
     else:
         def bwd(g):
             return g * b_data, _reduce_to(b_shape, g * a_data, axes)
@@ -288,10 +256,6 @@ def _binary(op: str, a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary("add", a, b)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -27,8 +27,7 @@ from .model import CSDN, NetworkConfig, count_parameters
 from .phantom import (DEFAULT_SPACING_MM, Dataset, generate_dataset, read_pgm,
                       write_pgm)
 from .serial import FormatError, load_weights
-from .train import TrainConfig
-from .train import resume as resume_training
+from .train import TrainConfig, load_resume
 from .train import train as run_training
 
 
@@ -176,6 +175,13 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     net_cfg, train_cfg, loss_cfg = load_run_config(args.config)
     ds = Dataset.open(args.data)
+    state = {}
+    if args.resume:  # checked before <out> is touched
+        if not os.path.exists(args.resume):
+            raise DataError(f"no checkpoint at {args.resume}")
+        net, state = load_resume(args.resume, train_cfg)
+    else:
+        net = CSDN(net_cfg, seed=train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     echo = echo_config(net_cfg, train_cfg, loss_cfg)
     with open(os.path.join(args.out, "config.txt"), "w",
@@ -184,15 +190,8 @@ def cmd_train(args) -> int:
     if not args.quiet:
         for line in echo:
             print(line)
-    if args.resume:
-        if not os.path.exists(args.resume):
-            raise DataError(f"no checkpoint at {args.resume}")
-        resume_training(args.resume, ds, train_cfg, loss_cfg, args.out,
-                        quiet=args.quiet)
-    else:
-        net = CSDN(net_cfg, seed=train_cfg.seed)
-        run_training(net, ds, train_cfg, loss_cfg, args.out,
-                     quiet=args.quiet)
+    run_training(net, ds, train_cfg, loss_cfg, args.out, quiet=args.quiet,
+                 **state)
     return 0
 
 

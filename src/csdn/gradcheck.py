@@ -26,6 +26,8 @@ from .model import (CSDN, IN_FRAMES, NUM_CLASSES, ContextBlock, CsdnOutput, Fusi
                     GELayerS1, GELayerS2, NetworkConfig, SegHead, StemBlock, count_parameters)
 
 PARAM_LIMIT = 100_000
+# Absolute agreement that counts as exact (see fd_coord_check).
+ATOL = 1e-6
 
 
 @dataclass
@@ -55,12 +57,12 @@ def _t(rng, *shape, grad=False) -> Tensor:
 
 
 def fd_coord_check(eval_at: Callable[[float], float], g_analytic: float,
-                   tol: float, h: float = 1e-4, atol: float = 1e-6) -> float:
+                   tol: float, h: float = 1e-4) -> float:
     """Gated relative error between ``g_analytic`` and a finite-difference
     slope of ``eval_at`` (scalar loss as a function of one coordinate's
     offset; the caller restores the coordinate afterwards).
 
-    Agreement within ``atol`` absolutely counts as exact: the stencil cannot
+    Agreement within ``ATOL`` absolutely counts as exact: the stencil cannot
     resolve slopes below its own noise floor, and a truly zero gradient (a
     direction some downstream normalizer cancels) leaves roundoff on both
     sides. A failing central difference is retried at a tenth of the step.
@@ -72,7 +74,7 @@ def fd_coord_check(eval_at: Callable[[float], float], g_analytic: float,
     gradient above the ``2e-6`` floor. A genuine backward bug converges to a
     wrong value at every step and matches none of these, so the coarser
     ``1e-2`` acceptance on the fine ladder loses no detection power."""
-    def gated(g_fd, floor=atol):
+    def gated(g_fd, floor=ATOL):
         diff = abs(g_analytic - g_fd)
         return 0.0 if diff <= floor else diff / (abs(g_analytic) + abs(g_fd))
 
@@ -87,7 +89,7 @@ def fd_coord_check(eval_at: Callable[[float], float], g_analytic: float,
         return rel
     hs = h / 10.0
     f0 = eval_at(0.0)
-    floor = max(atol, 2e-6)
+    floor = 2e-6
     fine = min(gated((eval_at(hs) - f0) / hs, floor),
                gated((f0 - eval_at(-hs)) / hs, floor),
                gated(central(h / 100.0), floor),
@@ -98,7 +100,7 @@ def fd_coord_check(eval_at: Callable[[float], float], g_analytic: float,
 
 
 def _probe(name: str, loss: Callable[[], float], tensors: list[Tensor],
-           grads: list[np.ndarray], tol: float, h: float, atol: float,
+           grads: list[np.ndarray], tol: float, h: float,
            max_coords: int | None, seed: int) -> CheckResult:
     """Check ``grads`` (one analytic gradient array per tensor) against
     finite differences of ``loss()``: every coordinate of each tensor, or
@@ -120,8 +122,7 @@ def _probe(name: str, loss: Callable[[], float], tensors: list[Tensor],
                     t.data[c] = orig + d
                     return loss()
 
-                worst = max(worst, fd_coord_check(eval_at, g[c], tol, h=h,
-                                                  atol=atol))
+                worst = max(worst, fd_coord_check(eval_at, g[c], tol, h=h))
                 t.data[c] = orig
             checked += len(idx)
     return CheckResult(name, float(worst), tol, checked)
@@ -129,8 +130,7 @@ def _probe(name: str, loss: Callable[[], float], tensors: list[Tensor],
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float,
                       h: float = 1e-4, max_coords: int | None = None,
-                      seed: int = 0, atol: float = 1e-6,
-                      name: str = "input") -> CheckResult:
+                      seed: int = 0, name: str = "input") -> CheckResult:
     """Compare the autodiff gradient of scalar ``f`` at ``x`` with central differences.
 
     ``f`` must be deterministic (checked by evaluating it twice) and ``x``
@@ -155,23 +155,21 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float,
     backward(out)
     g_ad = probe.grad if probe.grad is not None else np.zeros_like(probe.data)
     work = Tensor(x.data.copy())
-    return _probe(name, lambda: f(work).item(), [work], [g_ad], tol, h, atol,
+    return _probe(name, lambda: f(work).item(), [work], [g_ad], tol, h,
                   max_coords, seed)
 
 
 def param_fd_check(name: str, loss_fn: Callable[[], Tensor],
                    store: ParameterStore, tol: float = 1e-4,
-                   max_coords: int | None = 4, h: float = 1e-4,
-                   seed: int = 0, atol: float = 1e-6) -> CheckResult:
+                   max_coords: int | None = 4, seed: int = 0) -> CheckResult:
     """Probe every parameter tensor of a module: analytic gradients from one
-    backward pass vs finite differences at sampled coordinates, the worst
-    over the whole store reported under ``name``."""
+    backward pass vs finite differences (step 1e-4) at sampled coordinates,
+    the worst over the whole store reported under ``name``."""
     store.zero_grad()
     grads = backward(loss_fn(), store)
     names = store.names()
     return _probe(name, lambda: loss_fn().item(), [store[n] for n in names],
-                  [grads[n].data for n in names], tol, h, atol, max_coords,
-                  seed)
+                  [grads[n].data for n in names], tol, 1e-4, max_coords, seed)
 
 
 def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
@@ -222,7 +220,7 @@ def check_ops(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
 
             def bn(t, i=i, args=args, st=st):
                 probe = args[:i] + [t] + args[i + 1:]
-                return reduce_sum(L.sigmoid(L.batchnorm(*probe, 1e-5, st)[0]))
+                return reduce_sum(L.sigmoid(L.batchnorm(*probe, st)[0]))
             fd(f"{mode}/{part}", bn, args[i])
 
     fd("sigmoid", lambda t: reduce_sum(L.sigmoid(t)), _t(rng, 1, 2, 5, 5))
@@ -290,14 +288,14 @@ def check_blocks(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
 
 
 def check_end_to_end(config: NetworkConfig, tol: float = 1e-4,
-                     seed: int = 0, max_coords: int = 2,
-                     input_coords: int = 48) -> list[CheckResult]:
+                     seed: int = 0) -> list[CheckResult]:
     """Whole network through the hybrid loss.
 
     Eval pass at 1x3x64x64 (the deployment path: frozen statistics, no aux
     heads), then a train pass at 2x3x32x32 covering batch-statistics
     backward and the auxiliary heads. Batch 2 in train mode keeps the
     global-pool normalization layers above their minimum element count.
+    Each pass probes 2 coordinates of every parameter and 48 of the input.
     """
     results = []
     loss_cfg = LossConfig()
@@ -315,9 +313,9 @@ def check_end_to_end(config: NetworkConfig, tol: float = 1e-4,
 
         results.append(param_fd_check(f"end-to-end/{mode}/params",
                                       lambda: loss_of(x), net.parameter_store(),
-                                      tol=tol, max_coords=max_coords, seed=seed))
+                                      tol=tol, max_coords=2, seed=seed))
         results.append(finite_diff_check(loss_of, x, tol=tol,
-                                         max_coords=input_coords, seed=seed,
+                                         max_coords=48, seed=seed,
                                          name=f"end-to-end/{mode}/input"))
     return results
 

@@ -29,6 +29,11 @@ __all__ = [
     "BatchNorm2d", "PReLU",
 ]
 
+# Batch norm's running-statistics weight and variance floor (Ioffe and
+# Szegedy, 2015), and the initial slope of every PReLU (He et al., 2015).
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+PRELU_INIT = 0.25
+
 
 def _pair(v):
     return (v, v) if isinstance(v, int) else tuple(v)
@@ -359,7 +364,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 _resize_cache: dict[tuple, np.ndarray] = {}
 
 
-def _cubic_weight(u: np.ndarray, a: float = -0.75) -> np.ndarray:
+def _cubic_weight(u: np.ndarray) -> np.ndarray:
+    """Keys' cubic convolution kernel with a = -0.75."""
+    a = -0.75
     au = np.abs(u)
     w = np.where(au <= 1.0,
                  (a + 2.0) * au ** 3 - (a + 3.0) * au ** 2 + 1.0,
@@ -506,7 +513,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
-              eps: float, stats: tuple[np.ndarray, np.ndarray] | None = None
+              stats: tuple[np.ndarray, np.ndarray] | None = None
               ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch norm, then PReLU with slope ``alpha`` when one is given, as one
     recorded op; returns (output, mean, variance), each statistic (c,).
@@ -538,7 +545,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
         # (the page-fault probe in tests/test_train.py).
         if train:
             var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean) * invstd
         y = g_data * xhat + b_data
     else:
@@ -549,7 +556,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
         if train:
             y = np.multiply(xhat, xhat)
             var = y.sum(axis=(0, 2, 3), keepdims=True) / m
-        invstd = 1.0 / np.sqrt(var + eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= invstd
         y = np.multiply(xhat, g_data, out=y)
         y += b_data
@@ -624,11 +631,8 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Tensor(np.ones((1, channels, 1, 1), dtype=dtype),
                             requires_grad=True)
         self.beta = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype),
@@ -642,8 +646,7 @@ class BatchNorm2d(Module):
         if not self.training:
             self._check_running_var()
             stats = (self.running_mean.data, self.running_var.data)
-        y, mean, var = batchnorm(x, self.gamma, self.beta, alpha, self.eps,
-                                 stats)
+        y, mean, var = batchnorm(x, self.gamma, self.beta, alpha, stats)
         if self.training:
             self.update_running(mean, var)
         return y
@@ -652,8 +655,8 @@ class BatchNorm2d(Module):
 
     def update_running(self, mean: np.ndarray, var: np.ndarray):
         """Fold one batch's mean and biased variance into the running
-        statistics with weight ``momentum``."""
-        m = self.momentum
+        statistics with weight ``BN_MOMENTUM``."""
+        m = BN_MOMENTUM
         rm = self.running_mean.data.reshape(-1)
         rv = self.running_var.data.reshape(-1)
         rm *= 1.0 - m
@@ -669,15 +672,15 @@ class BatchNorm2d(Module):
         """(scale, shift), each (1, c, 1, 1): the eval-mode map is
         scale * x + shift, so a conv before it can absorb both."""
         self._check_running_var()
-        scale = self.gamma.data / np.sqrt(self.running_var.data + self.eps)
+        scale = self.gamma.data / np.sqrt(self.running_var.data + BN_EPS)
         return scale, self.beta.data - self.running_mean.data * scale
 
 
 class PReLU(Module):
-    def __init__(self, channels: int, init: float = 0.25, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
-        self.alpha = Tensor(np.full((1, channels, 1, 1), init, dtype=dtype),
-                            requires_grad=True)
+        self.alpha = Tensor(np.full((1, channels, 1, 1), PRELU_INIT,
+                                    dtype=dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return prelu(x, self.alpha)

@@ -89,8 +89,8 @@ class CsdnOutput:
 
 
 class ConvBNAct(Module):
-    """conv -> batch norm -> optional PReLU. Conv carries no bias (the BN
-    shift absorbs it).
+    """conv -> batch norm -> optional PReLU. The conv pads kernel // 2 and
+    carries no bias (the BN shift absorbs it).
 
     BN and PReLU run as one recorded op (``layers.batchnorm`` through
     ``BatchNorm2d``). An eval-mode forward that records no graph instead
@@ -99,10 +99,10 @@ class ConvBNAct(Module):
     every call so nothing goes stale.
     """
 
-    def __init__(self, in_c, out_c, kernel=3, stride=1, padding=1, groups=1,
-                 act=True, rng=None, dtype=np.float32):
+    def __init__(self, in_c, out_c, kernel=3, stride=1, groups=1, act=True,
+                 rng=None, dtype=np.float32):
         super().__init__()
-        self.conv = Conv2d(in_c, out_c, kernel, stride, padding, groups,
+        self.conv = Conv2d(in_c, out_c, kernel, stride, kernel // 2, groups,
                            bias=False, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(out_c, dtype=dtype)
         self.act = PReLU(out_c, dtype=dtype) if act else None
@@ -127,9 +127,9 @@ class ShallowBlock(Module):
 
     def __init__(self, in_c, out_c, rng, dtype):
         super().__init__()
-        self.down = ConvBNAct(in_c, out_c, 3, 2, 1, rng=rng, dtype=dtype)
-        self.c1 = ConvBNAct(out_c, out_c, 3, 1, 1, rng=rng, dtype=dtype)
-        self.c2 = ConvBNAct(out_c, out_c, 3, 1, 1, rng=rng, dtype=dtype)
+        self.down = ConvBNAct(in_c, out_c, 3, 2, rng=rng, dtype=dtype)
+        self.c1 = ConvBNAct(out_c, out_c, 3, 1, rng=rng, dtype=dtype)
+        self.c2 = ConvBNAct(out_c, out_c, 3, 1, rng=rng, dtype=dtype)
 
     def __call__(self, x):
         return self.c2(self.c1(self.down(x)))
@@ -158,10 +158,10 @@ class StemBlock(Module):
     def __init__(self, in_c, stem_c, rng, dtype):
         super().__init__()
         half = stem_c // 2
-        self.entry = ConvBNAct(in_c, stem_c, 3, 2, 1, rng=rng, dtype=dtype)
-        self.a1 = ConvBNAct(stem_c, half, 1, 1, 0, rng=rng, dtype=dtype)
-        self.a2 = ConvBNAct(half, half, 3, 2, 1, rng=rng, dtype=dtype)
-        self.fuse = ConvBNAct(stem_c + half, stem_c, 3, 1, 1, rng=rng,
+        self.entry = ConvBNAct(in_c, stem_c, 3, 2, rng=rng, dtype=dtype)
+        self.a1 = ConvBNAct(stem_c, half, 1, 1, rng=rng, dtype=dtype)
+        self.a2 = ConvBNAct(half, half, 3, 2, rng=rng, dtype=dtype)
+        self.fuse = ConvBNAct(stem_c + half, stem_c, 3, 1, rng=rng,
                               dtype=dtype)
 
     def __call__(self, x):
@@ -178,10 +178,10 @@ class GELayerS1(Module):
     def __init__(self, c, expansion, rng, dtype):
         super().__init__()
         e = c * expansion
-        self.expand = ConvBNAct(c, e, 3, 1, 1, rng=rng, dtype=dtype)
-        self.dw = ConvBNAct(e, e, 3, 1, 1, groups=e, act=False, rng=rng,
+        self.expand = ConvBNAct(c, e, 3, 1, rng=rng, dtype=dtype)
+        self.dw = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng,
                             dtype=dtype)
-        self.proj = ConvBNAct(e, c, 1, 1, 0, act=False, rng=rng, dtype=dtype)
+        self.proj = ConvBNAct(e, c, 1, 1, act=False, rng=rng, dtype=dtype)
         self.act = PReLU(c, dtype=dtype)
 
     def __call__(self, x):
@@ -195,16 +195,15 @@ class GELayerS2(Module):
     def __init__(self, c_in, c_out, expansion, rng, dtype):
         super().__init__()
         e = c_in * expansion
-        self.expand = ConvBNAct(c_in, e, 3, 1, 1, rng=rng, dtype=dtype)
-        self.dw1 = ConvBNAct(e, e, 3, 2, 1, groups=e, act=False, rng=rng,
+        self.expand = ConvBNAct(c_in, e, 3, 1, rng=rng, dtype=dtype)
+        self.dw1 = ConvBNAct(e, e, 3, 2, groups=e, act=False, rng=rng,
                              dtype=dtype)
-        self.dw2 = ConvBNAct(e, e, 3, 1, 1, groups=e, act=False, rng=rng,
+        self.dw2 = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng,
                              dtype=dtype)
-        self.proj = ConvBNAct(e, c_out, 1, 1, 0, act=False, rng=rng,
-                              dtype=dtype)
-        self.short_dw = ConvBNAct(c_in, c_in, 3, 2, 1, groups=c_in, act=False,
+        self.proj = ConvBNAct(e, c_out, 1, 1, act=False, rng=rng, dtype=dtype)
+        self.short_dw = ConvBNAct(c_in, c_in, 3, 2, groups=c_in, act=False,
                                   rng=rng, dtype=dtype)
-        self.short_proj = ConvBNAct(c_in, c_out, 1, 1, 0, act=False, rng=rng,
+        self.short_proj = ConvBNAct(c_in, c_out, 1, 1, act=False, rng=rng,
                                     dtype=dtype)
         self.act = PReLU(c_out, dtype=dtype)
 
@@ -221,8 +220,8 @@ class ContextBlock(Module):
     def __init__(self, c, rng, dtype):
         super().__init__()
         self.gap_bn = BatchNorm2d(c, dtype=dtype)
-        self.point = ConvBNAct(c, c, 1, 1, 0, rng=rng, dtype=dtype)
-        self.refine = ConvBNAct(c, c, 3, 1, 1, rng=rng, dtype=dtype)
+        self.point = ConvBNAct(c, c, 1, 1, rng=rng, dtype=dtype)
+        self.refine = ConvBNAct(c, c, 3, 1, rng=rng, dtype=dtype)
 
     def __call__(self, x):
         g = self.point(self.gap_bn(global_avg_pool(x)))
@@ -263,15 +262,15 @@ class FusionBlock(Module):
 
     def __init__(self, c, rng, dtype):
         super().__init__()
-        self.d_dw = ConvBNAct(c, c, 3, 1, 1, groups=c, act=False, rng=rng,
+        self.d_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng,
                               dtype=dtype)
         self.d_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng, dtype=dtype)
-        self.d_down = ConvBNAct(c, c, 3, 2, 1, act=False, rng=rng, dtype=dtype)
-        self.s_gate = ConvBNAct(c, c, 3, 1, 1, act=False, rng=rng, dtype=dtype)
-        self.s_dw = ConvBNAct(c, c, 3, 1, 1, groups=c, act=False, rng=rng,
+        self.d_down = ConvBNAct(c, c, 3, 2, act=False, rng=rng, dtype=dtype)
+        self.s_gate = ConvBNAct(c, c, 3, 1, act=False, rng=rng, dtype=dtype)
+        self.s_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng,
                               dtype=dtype)
         self.s_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng, dtype=dtype)
-        self.out = ConvBNAct(c, c, 3, 1, 1, act=False, rng=rng, dtype=dtype)
+        self.out = ConvBNAct(c, c, 3, 1, act=False, rng=rng, dtype=dtype)
 
     def __call__(self, detail: Tensor, semantic: Tensor) -> Tensor:
         dh, dw = detail.shape[2:]
@@ -295,7 +294,7 @@ class SegHead(Module):
 
     def __init__(self, in_c, head_c, num_classes, rng, dtype):
         super().__init__()
-        self.conv = ConvBNAct(in_c, head_c, 3, 1, 1, rng=rng, dtype=dtype)
+        self.conv = ConvBNAct(in_c, head_c, 3, 1, rng=rng, dtype=dtype)
         self.point = Conv2d(head_c, 4 * num_classes, 1, 1, 0, bias=True,
                             rng=rng, dtype=dtype)
 
@@ -309,7 +308,7 @@ class AuxHead(Module):
 
     def __init__(self, in_c, aux_c, num_classes, rng, dtype):
         super().__init__()
-        self.conv = ConvBNAct(in_c, aux_c, 3, 1, 1, rng=rng, dtype=dtype)
+        self.conv = ConvBNAct(in_c, aux_c, 3, 1, rng=rng, dtype=dtype)
         self.point = Conv2d(aux_c, num_classes, 1, 1, 0, bias=True, rng=rng,
                             dtype=dtype)
 
@@ -332,9 +331,9 @@ class CSDN(Module):
 
         self.shallow = ShallowNet(down_c, config.shallow_channels, rng, dtype)
         self.deep = DeepNet(down_c, config, rng, dtype)
-        self.detail_proj = (ConvBNAct(c3, f, 1, 1, 0, act=False, rng=rng,
+        self.detail_proj = (ConvBNAct(c3, f, 1, 1, act=False, rng=rng,
                                       dtype=dtype) if c3 != f else None)
-        self.semantic_proj = (ConvBNAct(s5, f, 1, 1, 0, act=False, rng=rng,
+        self.semantic_proj = (ConvBNAct(s5, f, 1, 1, act=False, rng=rng,
                                         dtype=dtype) if s5 != f else None)
         self.fusion = FusionBlock(f, rng, dtype)
         self.head = SegHead(f, config.head_channels, NUM_CLASSES, rng, dtype)

@@ -298,7 +298,13 @@ def read_pgm(path: str) -> np.ndarray:
             i = j
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"{path}: PGM width, height and maxval must be "
+                         f"decimal integers, got {b' '.join(tokens[1:])!r}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM size must be at least 1x1, "
+                         f"got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     raw = data[i + 1:i + 1 + w * h]
@@ -317,6 +323,8 @@ def save_sample(root: str, sample: Sample):
 
 
 def load_sample(root: str, sample_id: str, spacing_mm: float) -> Sample:
+    """Read one sample directory; its three frames and label must agree in
+    size."""
     d = os.path.join(root, sample_id)
     frames = []
     for k in range(3):
@@ -325,6 +333,13 @@ def load_sample(root: str, sample_id: str, spacing_mm: float) -> Sample:
             raise FileNotFoundError(f"missing frame file {p}")
         frames.append(read_pgm(p).astype(np.float32) / 255.0)
     label = read_pgm(os.path.join(d, "label.pgm"))
+    h, w = frames[0].shape
+    for name, arr in zip(("frame2.pgm", "frame3.pgm", "label.pgm"),
+                         frames[1:] + [label]):
+        if arr.shape != (h, w):
+            raise ValueError(f"{os.path.join(d, name)}: {arr.shape[1]}x"
+                             f"{arr.shape[0]}, but frame1.pgm of sample "
+                             f"{sample_id} is {w}x{h}")
     if label.max() > 2:
         raise ValueError(f"{sample_id}: label values must be 0/1/2")
     return Sample(frames=np.stack(frames), label=label,
@@ -391,14 +406,24 @@ def load_manifest(root: str) -> DatasetManifest:
 
 
 class Dataset:
-    """Manifest plus all samples held in memory."""
+    """Manifest plus all samples held in memory, each of the manifest's
+    size."""
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self.train = [load_sample(manifest.root, sid, manifest.spacing_mm)
-                      for sid in manifest.train_ids]
-        self.val = [load_sample(manifest.root, sid, manifest.spacing_mm)
-                    for sid in manifest.val_ids]
+        self.train = [self._load(sid) for sid in manifest.train_ids]
+        self.val = [self._load(sid) for sid in manifest.val_ids]
+
+    def _load(self, sample_id: str) -> Sample:
+        m = self.manifest
+        s = load_sample(m.root, sample_id, m.spacing_mm)
+        if s.label.shape != (m.size, m.size):
+            h, w = s.label.shape
+            raise ValueError(
+                f"{os.path.join(m.root, sample_id)}: sample {sample_id} is "
+                f"{w}x{h}, but {os.path.join(m.root, 'manifest.txt')} says "
+                f"size={m.size}")
+        return s
 
     @staticmethod
     def open(root: str) -> "Dataset":
@@ -426,9 +451,8 @@ def batches(samples: list[Sample], batch_size: int, shuffle_seed: int | None,
                      start + pos]).generate_state(1)[0]
                 s = augment(s, int(sub), augment_cfg)
             picked.append(s)
-        frames = np.stack([s.frames for s in picked]).astype(np.float32)
-        labels = np.stack([s.label for s in picked]).astype(np.int64)
-        yield frames, labels
+        yield (np.stack([s.frames for s in picked], dtype=np.float32),
+               np.stack([s.label for s in picked], dtype=np.int64))
 
 
 def generate_dataset(root: str, n_train: int, n_val: int, size: int,

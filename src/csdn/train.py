@@ -60,6 +60,10 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.lr_factor ** (epoch // cfg.lr_step)
 
 
+# Adam's moment decays and denominator floor (Kingma and Ba, 2014).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a ParameterStore, with selective L2 decay.
 
@@ -68,13 +72,9 @@ class Adam:
     stay owned by their tensors, and a step writes each update into
     ``p.data`` in place."""
 
-    def __init__(self, store: ParameterStore, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 1e-4, decoupled: bool = False):
+    def __init__(self, store: ParameterStore, weight_decay: float = 1e-4,
+                 decoupled: bool = False):
         self.store = store
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.decoupled = decoupled
         self.step_count = 0
@@ -128,8 +128,8 @@ class Adam:
             raise AutodiffError(f"non-finite gradient for {name!r}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         wd = self.weight_decay if self._decayed else 0.0
         if wd:
             wp = np.concatenate([p.data.ravel() for p in self._decayed],
@@ -138,16 +138,16 @@ class Adam:
             if not self.decoupled:
                 g[:wp.size] += wp
         m, v = self._m, self._v
-        u = (1.0 - self.beta1) * g
-        m *= self.beta1
+        u = (1.0 - BETA1) * g
+        m *= BETA1
         m += u
-        np.multiply(g, 1.0 - self.beta2, out=u)
+        np.multiply(g, 1.0 - BETA2, out=u)
         u *= g
-        v *= self.beta2
+        v *= BETA2
         v += u
         np.divide(v, bc2, out=u)  # update = (m / bc1) / (sqrt(v / bc2) + eps)
         np.sqrt(u, out=u)
-        u += self.eps
+        u += EPS
         np.divide(m, bc1, out=g)
         g /= u
         if wd and self.decoupled:
@@ -217,7 +217,7 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
         seed = _epoch_seed(cfg.seed, epoch)
         for batch_id, (frames, labels) in enumerate(
                 batches(dataset.train, cfg.batch_size, seed, aug)):
-            x = Tensor(frames.astype(net.dtype))
+            x = Tensor(frames, dtype=net.dtype)
             try:
                 out = net(x)
                 loss = hybrid_loss(out, labels, loss_cfg)
@@ -269,11 +269,11 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
     return logs
 
 
-def resume(path: str, dataset: Dataset, cfg: TrainConfig,
-           loss_cfg: LossConfig, out_dir: str | None = None,
-           quiet: bool = False) -> list[EpochLog]:
-    """Continue the run saved at ``path``. The data order and augmentation
-    follow the master seed, so ``cfg.seed`` must be the checkpoint's."""
+def load_resume(path: str, cfg: TrainConfig) -> tuple[CSDN, dict]:
+    """Load and check the run saved at ``path``: (net, the keyword
+    arguments that make ``train`` continue it). The data order and
+    augmentation follow the master seed, so ``cfg.seed`` must be the
+    checkpoint's. Nothing is written."""
     net, opt_state, trailer = load_checkpoint(path)
     if trailer["master_seed"] != cfg.seed:
         raise ValueError(f"{path}: checkpoint was trained with seed "
@@ -282,7 +282,14 @@ def resume(path: str, dataset: Dataset, cfg: TrainConfig,
     if opt_state is None:
         print("warning: checkpoint has no optimizer state; "
               "training restarts with fresh moments", flush=True)
-    return train(net, dataset, cfg, loss_cfg, out_dir, quiet=quiet,
-                 start_epoch=trailer["epoch"] + 1, opt_state=opt_state,
-                 best_val_dsc=trailer["best_val_dsc"],
-                 global_step=trailer["global_step"])
+    return net, dict(start_epoch=trailer["epoch"] + 1, opt_state=opt_state,
+                     best_val_dsc=trailer["best_val_dsc"],
+                     global_step=trailer["global_step"])
+
+
+def resume(path: str, dataset: Dataset, cfg: TrainConfig,
+           loss_cfg: LossConfig, out_dir: str | None = None,
+           quiet: bool = False) -> list[EpochLog]:
+    """Continue the run saved at ``path`` (see ``load_resume``)."""
+    net, state = load_resume(path, cfg)
+    return train(net, dataset, cfg, loss_cfg, out_dir, quiet=quiet, **state)

@@ -6,7 +6,7 @@ import pytest
 
 from csdn.autodiff import (AutodiffError, Module, ModuleList, ParameterStore,
                            Tensor, add, backward, mul, no_grad, record,
-                           reduce_sum, scale, sub)
+                           reduce_sum, scale)
 from csdn.gradcheck import finite_diff_check
 
 
@@ -55,7 +55,6 @@ def test_elementwise_values():
     a = rand(rng, 2, 3, 4, 4)
     b = rand(rng, 2, 3, 4, 4)
     assert np.array_equal(add(a, b).data, a.data + b.data)
-    assert np.array_equal(sub(a, b).data, a.data - b.data)
     assert np.array_equal(mul(a, b).data, a.data * b.data)
     assert np.array_equal(scale(a, 0.5).data, a.data * 0.5)
     assert reduce_sum(a).item() == pytest.approx(a.data.sum())
@@ -81,11 +80,7 @@ def test_operator_sugar():
     a = Tensor.ones((1, 1, 2, 2))
     b = Tensor.ones((1, 1, 2, 2))
     assert np.array_equal((a + b).data, np.full((1, 1, 2, 2), 2.0))
-    assert np.array_equal((a - b).data, np.zeros((1, 1, 2, 2)))
-    assert np.array_equal((2.0 * a).data, np.full((1, 1, 2, 2), 2.0))
-    assert np.array_equal((-a).data, np.full((1, 1, 2, 2), -1.0))
     assert (a * b).shape == (1, 1, 2, 2)
-    assert a.sum().item() == 4.0
 
 
 # -- backward mechanics -------------------------------------------------------
@@ -180,13 +175,6 @@ def test_backward_with_store_returns_named_grads():
     assert set(grads) == {"w"}
     assert np.allclose(grads["w"].data,
                        x.data.sum(axis=(0, 2, 3), keepdims=True))
-
-
-def test_detach_cuts_graph():
-    a = Tensor.ones((1, 1, 2, 2), requires_grad=True)
-    d = mul(a, a).detach()
-    assert not d.requires_grad
-    assert d._node is None
 
 
 # -- the finite-difference oracle itself --------------------------------------

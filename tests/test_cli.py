@@ -146,6 +146,24 @@ def test_echo_round_trips(tmp_path):
     assert (net1, tr1, lo1) == (net2, tr2, lo2)
 
 
+def test_readme_sample_config_is_carried_whole(tmp_path):
+    # the fenced block after "A sample training file:" loads, and the echo
+    # carries every key it sets with the value it gives
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("A sample training file:", 1)[1]
+    block = block.split("```\n", 2)[1]
+    given = dict((k.strip(), v.strip()) for k, v in
+                 (line.split("=", 1) for line in block.splitlines()))
+    assert len(given) >= 5
+    net, tr, lo = load_run_config(write_cfg(tmp_path, block))
+    preset = given.pop("preset", "reference")
+    assert net == (NetworkConfig() if preset == "reference"
+                   else getattr(NetworkConfig, preset)())
+    echoed = dict(line.split("=", 1) for line in echo_config(net, tr, lo))
+    assert {k: echoed.get(k) for k in given} == given
+
+
 # -- exit codes and artifacts -------------------------------------------------
 
 
@@ -258,12 +276,21 @@ def test_train_resume_rejects_unpaired_moments(ds64, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "pair" in err[0]
 
 
+def prior_run_config(out):
+    """``out/config.txt`` as an earlier run left it: (path, bytes)."""
+    out.mkdir()
+    path = out / "config.txt"
+    path.write_bytes(b"seed=5\nepochs=7\n")
+    return path, path.read_bytes()
+
+
 def test_train_resume_rejects_other_seed(ds64, tmp_path, capsys):
     net = CSDN(NetworkConfig.micro(), seed=0)
     path = tmp_path / "seed5.ckpt"
     save_checkpoint(str(path), net, None, epoch=0, global_step=1,
                     master_seed=5, best_val_dsc=-1.0)
     out = tmp_path / "o"
+    config, before = prior_run_config(out)
     rc = main(["train", "--data", str(ds64), "--out", str(out),
                "--resume", str(path), "--quiet"])
     assert rc == 2
@@ -271,6 +298,8 @@ def test_train_resume_rejects_other_seed(ds64, tmp_path, capsys):
     assert err == [f"error: {path}: checkpoint was trained with seed 5, "
                    "config has seed 0"]
     assert not (out / "log.csv").exists()
+    # the refused resume leaves the run's config record alone
+    assert config.read_bytes() == before
 
 
 def test_train_missing_data(tmp_path, capsys):
@@ -281,10 +310,12 @@ def test_train_missing_data(tmp_path, capsys):
 
 
 def test_train_resume_missing_checkpoint(ds64, tmp_path, capsys):
+    config, before = prior_run_config(tmp_path / "o")
     rc = main(["train", "--data", str(ds64), "--out", str(tmp_path / "o"),
                "--resume", str(tmp_path / "gone.ckpt"), "--quiet"])
     assert rc == 2
     assert "no checkpoint" in capsys.readouterr().err
+    assert config.read_bytes() == before
 
 
 def test_eval_missing_weights(ds64, tmp_path, capsys):

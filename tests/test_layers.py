@@ -762,7 +762,7 @@ def test_batchnorm_train_normalizes():
         x = Tensor(rng.normal(3.0, 2.0, size=(4, 3, 8, 8)))
         g = Tensor.ones((1, 3, 1, 1), dtype=F64, requires_grad=True)
         b = Tensor.zeros((1, 3, 1, 1), dtype=F64, requires_grad=True)
-        y, mean, var = batchnorm(x, g, b, None, 1e-5)
+        y, mean, var = batchnorm(x, g, b, None)
         assert np.allclose(y.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-10)
         assert np.allclose(y.data.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
         assert np.allclose(mean, x.data.mean(axis=(0, 2, 3)))
@@ -773,16 +773,15 @@ def test_batchnorm_train_needs_two_samples():
     one = Tensor.ones((1, 3, 1, 1), dtype=F64)
     for alpha in (None, one):
         with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
-            batchnorm(one, one, Tensor.zeros((1, 3, 1, 1), dtype=F64), alpha,
-                      1e-5)
+            batchnorm(one, one, Tensor.zeros((1, 3, 1, 1), dtype=F64), alpha)
     # frozen statistics need no batch
-    y = batchnorm(one, one, one, one, 1e-5, (one.data, one.data))[0]
+    y = batchnorm(one, one, one, one, (one.data, one.data))[0]
     assert y.shape == (1, 3, 1, 1)
 
 
 def test_batchnorm_module_running_stats():
     rng = np.random.Generator(np.random.PCG64(9))
-    bn = BatchNorm2d(3, momentum=0.1)
+    bn = BatchNorm2d(3)
     x = Tensor(rng.normal(2.0, 1.5, size=(4, 3, 8, 8)).astype(np.float32))
     bn(x)
     bm = x.data.mean(axis=(0, 2, 3))
@@ -794,7 +793,7 @@ def test_batchnorm_module_running_stats():
     y = bn(x)
     rm = bn.running_mean.data
     rv = bn.running_var.data
-    want = (x.data - rm) / np.sqrt(rv + bn.eps)
+    want = (x.data - rm) / np.sqrt(rv + layers.BN_EPS)
     assert np.allclose(y.data, want, atol=1e-6)
 
 
@@ -813,7 +812,7 @@ def test_batchnorm_infer_matches_formula():
     b = t(rng, 1, 3, 1, 1)
     mean = rng.normal(size=(1, 3, 1, 1))
     var = rng.uniform(0.5, 2.0, size=(1, 3, 1, 1))
-    y = batchnorm(x, g, b, None, 1e-5, (mean, var))[0]
+    y = batchnorm(x, g, b, None, (mean, var))[0]
     want = g.data * (x.data - mean) / np.sqrt(var + 1e-5) + b.data
     assert np.allclose(y.data, want, atol=1e-12)
 
@@ -850,9 +849,9 @@ def test_batchnorm_matches_replaced_ops():
             for a, stats in ((None, None), (ad, None), (None, fd), (ad, fd)):
                 case = (shape, dtype, a is None, stats is None)
                 got, want = (
-                    _run(lambda *ts: op(*ts, 1e-5, stats), (xd, gd, bd, a),
-                         cot)
-                    for op in (batchnorm, oracle_batchnorm))
+                    _run(op, (xd, gd, bd, a), cot)
+                    for op in (lambda *ts: batchnorm(*ts, stats),
+                               lambda *ts: oracle_batchnorm(*ts, 1e-5, stats)))
                 assert len(got) == len(want) == 6 + (a is not None), case
                 for u, v in zip(got, want):
                     assert u.dtype == v.dtype == dtype, case
@@ -873,7 +872,7 @@ def test_batchnorm_leaves_the_incoming_gradient_alone():
     for alpha in (None, params[2]):
         for st in (None, stats):
             y = batchnorm(Tensor(x, requires_grad=True), params[0], params[1],
-                          alpha, 1e-5, st)[0]
+                          alpha, st)[0]
             gin = g.copy()
             y._node.backward_fn(gin)
             assert np.array_equal(gin, g)
@@ -882,11 +881,11 @@ def test_batchnorm_leaves_the_incoming_gradient_alone():
 def test_fused_bn_prelu_guards():
     one = Tensor.ones((1, 3, 1, 1), dtype=F64)
     with pytest.raises(ValueError, match="n\\*h\\*w >= 2"):
-        batchnorm(one, one, one, one, 1e-5)
+        batchnorm(one, one, one, one)
     for stats in (None, (one.data, one.data)):
         with pytest.raises(ValueError, match="alpha"):
             batchnorm(Tensor.ones((2, 3, 2, 2), dtype=F64), one, one,
-                      Tensor.ones((1, 4, 1, 1), dtype=F64), 1e-5, stats)
+                      Tensor.ones((1, 4, 1, 1), dtype=F64), stats)
 
 
 def test_conv_bn_act_training_matches_unfused_modules():

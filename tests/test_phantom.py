@@ -116,13 +116,17 @@ def test_pgm_reader_rejects_bad_files(tmp_path):
         (b"P5\n3 2\n65535\n" + b"\x00" * 6, "maxval"),
         (b"P5\n3 2\n255\n" + b"\x00" * 5, "truncated pixel"),
         (b"P5\n3 2", "truncated PGM header"),
+        (b"P5 a b 255\n" + b"\x00" * 6, "decimal integers"),
+        (b"P5 -1 -1 255\n" + b"\x00" * 6, "decimal integers"),
+        (b"P5 0 2 255\n", "at least 1x1"),
     ]
     for i, (blob, msg) in enumerate(cases):
         p = str(tmp_path / f"bad{i}.pgm")
         with open(p, "wb") as fh:
             fh.write(blob)
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ValueError, match=msg) as err:
             read_pgm(p)
+        assert str(err.value).startswith(f"{p}: "), blob
 
 
 def test_pgm_writer_rejects_bad_arrays(tmp_path):
@@ -158,6 +162,35 @@ def test_load_sample_rejects_bad_label(tmp_path):
     write_pgm(str(tmp_path / "t2" / "label.pgm"), bad)
     with pytest.raises(ValueError, match="label values"):
         load_sample(str(tmp_path), "t2", DEFAULT_SPACING_MM)
+
+
+def test_load_sample_rejects_files_of_other_sizes(tmp_path, capsys):
+    root = str(tmp_path / "ds")
+    small = np.zeros((32, 32), dtype=np.uint8)
+    for name in ("frame2.pgm", "label.pgm"):
+        generate_dataset(root, 2, 0, 64, seed=4)
+        path = os.path.join(root, "train0001", name)
+        write_pgm(path, small)
+        with pytest.raises(ValueError) as err:
+            load_sample(root, "train0001", DEFAULT_SPACING_MM)
+        assert str(err.value) == (f"{path}: 32x32, but frame1.pgm of sample "
+                                  "train0001 is 64x64")
+    # through the CLI: exit 2, one error line naming the sample
+    assert main(["train", "--data", root, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_dataset_rejects_samples_of_another_size(tmp_path):
+    root = str(tmp_path / "ds")
+    generate_dataset(root, 1, 1, 64, seed=6)
+    save_sample(root, generate_phantom(2, 128, sample_id="val0000"))
+    with pytest.raises(ValueError) as err:
+        Dataset.open(root)
+    mpath = os.path.join(root, "manifest.txt")
+    assert str(err.value) == (f"{os.path.join(root, 'val0000')}: sample "
+                              f"val0000 is 128x128, but {mpath} says size=64")
 
 
 def test_manifest_roundtrip(tmp_path):

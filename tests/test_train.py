@@ -13,8 +13,8 @@ from csdn.autodiff import AutodiffError, ParameterStore, Tensor
 from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
 from csdn.phantom import Dataset, generate_dataset
-from csdn.train import (LOG_HEADER, Adam, EpochLog, TrainConfig, lr_at_epoch,
-                        resume, train)
+from csdn.train import (BETA1, BETA2, EPS, LOG_HEADER, Adam, EpochLog,
+                        TrainConfig, lr_at_epoch, resume, train)
 
 
 @pytest.fixture(scope="module")
@@ -174,8 +174,8 @@ class _LoopAdam(Adam):
     def step(self, grads, lr):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.store.items():
             g = grads[name].data
             wd = self.weight_decay if self.decayed(name) else 0.0
@@ -183,11 +183,11 @@ class _LoopAdam(Adam):
                 g = g + wd * p.data
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if wd and self.decoupled:
                 update = update + wd * p.data
             p.data -= (lr * update).astype(p.data.dtype)
