@@ -317,52 +317,46 @@ class ParameterStore:
 
 
 class Module:
-    """Minimal layer container: tracks parameters, buffers and children.
+    """Minimal layer container whose attributes are its registry.
 
-    Tensors assigned as attributes are registered automatically, parameters
-    when ``requires_grad`` is set and buffers otherwise; nested Modules
-    contribute their tensors under dotted names.
+    A tensor attribute is a parameter when it requires grad and a buffer
+    otherwise; a Module attribute is a child, and so is each Module of a
+    list attribute, named ``<attr>.<index>``. A module's own tensors come
+    before its children's, each in attribute order.
     """
 
     def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "training", True)
+        self.training = True
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Module):
-            self._children[name] = value
-            self._params.pop(name, None)
-            self._buffers.pop(name, None)
-        elif isinstance(value, Tensor):
-            if value.requires_grad:
-                self._params[name] = value
-                self._buffers.pop(name, None)
-            else:
-                self._buffers[name] = value
-                self._params.pop(name, None)
-            self._children.pop(name, None)
-        object.__setattr__(self, name, value)
+    def _named_children(self) -> Iterator[tuple[str, "Module"]]:
+        for name, v in vars(self).items():
+            if isinstance(v, Module):
+                yield name, v
+            elif isinstance(v, list):
+                for i, m in enumerate(v):
+                    if isinstance(m, Module):
+                        yield f"{name}.{i}", m
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, t in self._params.items():
-            yield prefix + name, t
-        for name, child in self._children.items():
-            yield from child.named_parameters(prefix + name + ".")
+    def _named_tensors(self, params: bool, prefix: str
+                       ) -> Iterator[tuple[str, Tensor]]:
+        for name, v in vars(self).items():
+            if isinstance(v, Tensor) and v.requires_grad == params:
+                yield prefix + name, v
+        for name, child in self._named_children():
+            yield from child._named_tensors(params, prefix + name + ".")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, t in self._buffers.items():
-            yield prefix + name, t
-        for name, child in self._children.items():
-            yield from child.named_buffers(prefix + name + ".")
+    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+        return self._named_tensors(True, "")
+
+    def named_buffers(self) -> Iterator[tuple[str, Tensor]]:
+        return self._named_tensors(False, "")
 
     def parameter_store(self) -> ParameterStore:
         return ParameterStore(self.named_parameters())
 
     def train(self, flag: bool = True):
-        object.__setattr__(self, "training", flag)
-        for child in self._children.values():
+        self.training = flag
+        for _, child in self._named_children():
             child.train(flag)
         return self
 
@@ -371,25 +365,3 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(t.size() for _, t in self.named_parameters())
-
-
-class ModuleList(Module):
-    def __init__(self, modules: Iterable[Module] = ()):
-        super().__init__()
-        self._order = []
-        for m in modules:
-            self.append(m)
-
-    def append(self, m: Module):
-        idx = str(len(self._order))
-        self._order.append(m)
-        setattr(self, idx, m)
-
-    def __iter__(self):
-        return iter(self._order)
-
-    def __len__(self):
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> Module:
-        return self._order[i]

@@ -24,8 +24,8 @@ from .losses import LossConfig
 from .metrics import (boundary_pixels, evaluate, fps_benchmark, predict_label,
                       region_masks, write_report_csv)
 from .model import CSDN, NetworkConfig, count_parameters
-from .phantom import (DEFAULT_SPACING_MM, Dataset, generate_dataset, read_pgm,
-                      write_pgm)
+from .phantom import (DEFAULT_SPACING_MM, Dataset, generate_dataset,
+                      read_sample_dir, write_pgm)
 from .serial import FormatError, load_weights
 from .train import TrainConfig, load_resume
 from .train import train as run_training
@@ -153,8 +153,9 @@ def echo_config(net_cfg: NetworkConfig, train_cfg: TrainConfig,
 
 
 def cmd_gen_data(args) -> int:
-    if args.size % 64:
-        raise UsageError(f"size must be a multiple of 64 (got {args.size})")
+    if args.size < 1 or args.size % 64:
+        raise UsageError(f"--size must be a positive multiple of 64 "
+                         f"(got {args.size})")
     if not (math.isfinite(args.spacing_mm) and args.spacing_mm > 0):
         raise UsageError("spacing-mm must be finite and > 0 "
                          f"(got {args.spacing_mm})")
@@ -222,25 +223,15 @@ def cmd_infer(args) -> int:
     if not os.path.exists(args.weights):
         raise DataError(f"no weight file at {args.weights}")
     net = load_weights(args.weights)
-    frames = []
-    for k in (1, 2, 3):
-        p = os.path.join(args.input, f"frame{k}.pgm")
-        if not os.path.exists(p):
-            raise DataError(f"missing frame file {p}")
-        frames.append(read_pgm(p).astype(np.float32) / 255.0)
-    pred = predict_label(net, np.stack(frames))
+    frames, truth = read_sample_dir(args.input)  # checked before any write
+    pred = predict_label(net, frames)
 
     os.makedirs(args.out, exist_ok=True)
     write_pgm(os.path.join(args.out, "label.pgm"), pred)
 
     base = np.clip(np.rint(frames[1] * 255.0), 0, 255).astype(np.uint8)
     rgb = np.stack([base] * 3, axis=-1)
-    truth_path = os.path.join(args.input, "label.pgm")
-    if os.path.exists(truth_path):
-        truth = read_pgm(truth_path)
-        if truth.shape != pred.shape:
-            raise DataError(f"label shape {truth.shape} does not match "
-                            f"frames {pred.shape}")
+    if truth is not None:
         lum, eem = region_masks(truth)
         rgb[tuple(boundary_pixels(eem).T)] = (255, 0, 0)  # truth outer wall: red
         rgb[tuple(boundary_pixels(lum).T)] = (0, 255, 0)  # truth lumen: green
@@ -256,8 +247,9 @@ def cmd_bench(args) -> int:
     if args.iters < 10:
         raise UsageError(f"need at least 10 timed iterations "
                          f"(got {args.iters})")
-    if args.size % 32:
-        raise UsageError(f"size must be a multiple of 32 (got {args.size})")
+    if args.size < 1 or args.size % 32:
+        raise UsageError(f"--size must be a positive multiple of 32 "
+                         f"(got {args.size})")
     if args.batch < 1 or args.warmup < 1:
         raise UsageError(f"need batch >= 1 and warmup >= 1 (got batch "
                          f"{args.batch}, warmup {args.warmup})")

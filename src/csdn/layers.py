@@ -11,10 +11,10 @@ Dense correlation runs as a channel-major im2col (one copy per tap) and
 one GEMM per image whose output is already NCHW; only a weight gradient
 keeps the columns, and any other dense conv fills and multiplies them one
 cache-sized band of output rows at a time. Depthwise correlation is k*k
-shifted multiply-accumulates. Resize applies cached per-axis
+shifted multiply-accumulates. Bilinear resize applies cached per-axis
 interpolation matrices with broadcast matmul, so the backward pass is the
-transposed product; the exact half-size bicubic of the network's front
-end runs forward as its fixed 4-tap filter instead.
+transposed product; bicubic resize only halves, as the network's front
+end does, and runs forward as its fixed 4-tap filter instead.
 """
 
 from __future__ import annotations
@@ -364,59 +364,40 @@ def global_avg_pool(x: Tensor) -> Tensor:
 _resize_cache: dict[tuple, np.ndarray] = {}
 
 
-def _cubic_weight(u: np.ndarray) -> np.ndarray:
-    """Keys' cubic convolution kernel with a = -0.75."""
-    a = -0.75
-    au = np.abs(u)
-    w = np.where(au <= 1.0,
-                 (a + 2.0) * au ** 3 - (a + 3.0) * au ** 2 + 1.0,
-                 np.where(au < 2.0,
-                          a * au ** 3 - 5.0 * a * au ** 2 + 8.0 * a * au - 4.0 * a,
-                          0.0))
-    return w
-
-
 def _resize_matrix(src: int, dst: int, mode: str) -> np.ndarray:
     """(dst, src) row-stochastic interpolation matrix, half-pixel convention.
 
-    Out-of-range taps clamp to the border, folding their weight onto the
-    edge sample, so rows still sum to 1.
+    Bilinear taps out of range clamp to the border, folding their weight
+    onto the edge sample, so rows still sum to 1. Bicubic halves (src is
+    2 * dst): the matrix of ``_half_bicubic``.
     """
     key = (src, dst, mode)
     cached = _resize_cache.get(key)
     if cached is not None:
         return cached
-    scale = src / dst
-    coords = (np.arange(dst, dtype=np.float64) + 0.5) * scale - 0.5
-    mat = np.zeros((dst, src), dtype=np.float64)
-    if mode == "bilinear":
+    if mode == "bicubic":
+        mat = _half_bicubic(np.eye(src), 0)
+    else:
+        coords = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
         i0 = np.floor(coords).astype(np.int64)
         t = coords - i0
+        mat = np.zeros((dst, src), dtype=np.float64)
         for off, wgt in ((0, 1.0 - t), (1, t)):
             idx = np.clip(i0 + off, 0, src - 1)
             np.add.at(mat, (np.arange(dst), idx), wgt)
-    elif mode == "bicubic":
-        i0 = np.floor(coords).astype(np.int64)
-        for off in (-1, 0, 1, 2):
-            tap = i0 + off
-            wgt = _cubic_weight(coords - tap)
-            idx = np.clip(tap, 0, src - 1)
-            np.add.at(mat, (np.arange(dst), idx), wgt)
-    else:
-        raise ValueError(f"resize mode {mode!r}")
     _resize_cache[key] = mat
     return mat
 
 
-# _cubic_weight at distances 1.5 and 0.5: the taps of a half-size resize.
+# Keys' cubic convolution kernel (a = -0.75) at distances 1.5 and 0.5: the
+# taps of a half-size resize.
 _HALF_OUTER, _HALF_INNER = -0.09375, 0.59375
 
 
 def _half_bicubic(x: np.ndarray, axis: int) -> np.ndarray:
     """Bicubic resize of an even axis to half its length, as its 4-tap
     filter: out[i] = 0.59375 (x[2i] + x[2i+1]) - 0.09375 (x[2i-1] + x[2i+2])
-    with the edge taps clamped. The same linear map as
-    ``_resize_matrix(2d, d, "bicubic")``, without building it."""
+    with the edge taps clamped."""
     def at(start, stop=None, step=None):
         idx = [slice(None)] * x.ndim
         idx[axis] = slice(start, stop, step)
@@ -435,13 +416,19 @@ def _half_bicubic(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def resize(x: Tensor, out_h: int, out_w: int, mode: str = "bilinear") -> Tensor:
-    """Separable resize by per-axis interpolation matrices; an exact
-    half-size bicubic runs as its 4-tap filter. The backward is always the
-    transposed matrix product, the adjoint of either forward."""
+    """Separable resize. Bilinear applies per-axis interpolation matrices;
+    bicubic only halves each side (the network's front end) and runs as
+    its 4-tap filter. The backward is always the transposed matrix
+    product, the adjoint of either forward."""
+    if mode not in ("bilinear", "bicubic"):
+        raise ValueError(f"resize mode {mode!r}")
     if out_h < 1 or out_w < 1:
         raise ValueError(f"resize target {out_h}x{out_w} < 1")
     n, c, h, w = x.shape
-    if mode == "bicubic" and (h, w) == (2 * out_h, 2 * out_w):
+    if mode == "bicubic":
+        if (h, w) != (2 * out_h, 2 * out_w):
+            raise ValueError(f"bicubic resize only halves each side, not "
+                             f"{h}x{w} to {out_h}x{out_w}")
         y = _half_bicubic(_half_bicubic(x.data, 2), 3)
     else:
         ah = _resize_matrix(h, out_h, mode).astype(x.dtype)
@@ -623,11 +610,9 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.stride, self.padding,
                       self.groups)
-
-    __call__ = forward
 
 
 class BatchNorm2d(Module):
@@ -640,7 +625,7 @@ class BatchNorm2d(Module):
         self.running_mean = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype))
         self.running_var = Tensor(np.ones((1, channels, 1, 1), dtype=dtype))
 
-    def forward(self, x: Tensor, alpha: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, alpha: Tensor | None = None) -> Tensor:
         """Batch norm, then PReLU with slope ``alpha`` when one is given."""
         stats = None
         if not self.training:
@@ -650,8 +635,6 @@ class BatchNorm2d(Module):
         if self.training:
             self.update_running(mean, var)
         return y
-
-    __call__ = forward
 
     def update_running(self, mean: np.ndarray, var: np.ndarray):
         """Fold one batch's mean and biased variance into the running
@@ -682,7 +665,5 @@ class PReLU(Module):
         self.alpha = Tensor(np.full((1, channels, 1, 1), PRELU_INIT,
                                     dtype=dtype), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return prelu(x, self.alpha)
-
-    __call__ = forward

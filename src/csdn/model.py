@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import layers
-from .autodiff import Module, ModuleList, Tensor, add, grad_enabled, mul
+from .autodiff import Module, Tensor, add, grad_enabled, mul
 from .layers import (BatchNorm2d, Conv2d, PReLU, concat_channels,
                      global_avg_pool, pixel_shuffle, pixel_unshuffle, pool2d,
                      resize, sigmoid)
@@ -114,7 +114,7 @@ class ConvBNAct(Module):
         scale, shift = self.bn.eval_affine()
         conv = self.conv
         weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
-        # layers.conv2d is looked up at call time, as in Conv2d.forward, so
+        # layers.conv2d is looked up at call time, as in Conv2d.__call__, so
         # a wrapper installed on it sees the folded convs too.
         y = layers.conv2d(x, Tensor(weight), Tensor(shift), conv.stride,
                           conv.padding, conv.groups)
@@ -143,7 +143,7 @@ class ShallowNet(Module):
         for c in channels:
             blocks.append(ShallowBlock(prev, c, rng, dtype))
             prev = c
-        self.blocks = ModuleList(blocks)
+        self.blocks = blocks
 
     def __call__(self, x):
         for b in self.blocks:
@@ -238,7 +238,7 @@ class DeepNet(Module):
         def stage(c_in, c_out, layers):
             mods = [GELayerS2(c_in, c_out, e, rng, dtype)]
             mods += [GELayerS1(c_out, e, rng, dtype) for _ in range(layers - 1)]
-            return ModuleList(mods)
+            return mods
 
         self.stage3 = stage(cfg.stem_channels, s3, cfg.ge_layers[0])
         self.stage4 = stage(s3, s4, cfg.ge_layers[1])
@@ -338,9 +338,8 @@ class CSDN(Module):
         self.fusion = FusionBlock(f, rng, dtype)
         self.head = SegHead(f, config.head_channels, NUM_CLASSES, rng, dtype)
         tap_c = [config.stem_channels] + list(config.ge_stage_channels)
-        self.aux_heads = ModuleList([
-            AuxHead(c, config.aux_channels, NUM_CLASSES, rng, dtype)
-            for c in tap_c])
+        self.aux_heads = [AuxHead(c, config.aux_channels, NUM_CLASSES, rng,
+                                  dtype) for c in tap_c]
 
     def downsample(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape

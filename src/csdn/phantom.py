@@ -322,28 +322,40 @@ def save_sample(root: str, sample: Sample):
     write_pgm(os.path.join(d, "label.pgm"), sample.label)
 
 
-def load_sample(root: str, sample_id: str, spacing_mm: float) -> Sample:
-    """Read one sample directory; its three frames and label must agree in
-    size."""
-    d = os.path.join(root, sample_id)
+def read_sample_dir(d: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (3, H, W) float32 frames of a sample directory, and its label,
+    or None where it has no label.pgm. Frames and label must agree in size
+    and label values lie in {0, 1, 2}; each error names its file."""
     frames = []
     for k in range(3):
         p = os.path.join(d, f"frame{k + 1}.pgm")
         if not os.path.exists(p):
             raise FileNotFoundError(f"missing frame file {p}")
-        frames.append(read_pgm(p).astype(np.float32) / 255.0)
-    label = read_pgm(os.path.join(d, "label.pgm"))
+        frames.append(read_pgm(p))
+    label_path = os.path.join(d, "label.pgm")
+    label = read_pgm(label_path) if os.path.exists(label_path) else None
     h, w = frames[0].shape
     for name, arr in zip(("frame2.pgm", "frame3.pgm", "label.pgm"),
                          frames[1:] + [label]):
-        if arr.shape != (h, w):
+        if arr is not None and arr.shape != (h, w):
             raise ValueError(f"{os.path.join(d, name)}: {arr.shape[1]}x"
                              f"{arr.shape[0]}, but frame1.pgm of sample "
-                             f"{sample_id} is {w}x{h}")
-    if label.max() > 2:
-        raise ValueError(f"{sample_id}: label values must be 0/1/2")
-    return Sample(frames=np.stack(frames), label=label,
-                  spacing_mm=spacing_mm, id=sample_id)
+                             f"{os.path.basename(os.path.normpath(d))} is "
+                             f"{w}x{h}")
+    if label is not None and label.max() > 2:
+        raise ValueError(f"{label_path}: label values must lie in {{0, 1, 2}}")
+    return np.stack(frames, dtype=np.float32) / 255.0, label
+
+
+def load_sample(root: str, sample_id: str, spacing_mm: float) -> Sample:
+    """Read one labelled sample directory (see ``read_sample_dir``)."""
+    d = os.path.join(root, sample_id)
+    frames, label = read_sample_dir(d)
+    if label is None:
+        raise FileNotFoundError(f"missing label file "
+                                f"{os.path.join(d, 'label.pgm')}")
+    return Sample(frames=frames, label=label, spacing_mm=spacing_mm,
+                  id=sample_id)
 
 
 def save_dataset(root: str, train: list[Sample], val: list[Sample],

@@ -37,10 +37,11 @@ class TrainConfig:
     augment: str = "full"  # full | mild | none
 
     def __post_init__(self):
-        for key in ("epochs", "batch_size", "lr_step", "val_every",
-                    "checkpoint_every"):
+        for key in ("epochs", "lr_step", "val_every", "checkpoint_every"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.batch_size < 2:  # batch norm needs two samples per batch
+            raise ValueError("batch_size must be >= 2")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
         if self.augment not in ("full", "mild", "none"):
@@ -194,6 +195,8 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
     writes log.csv, last.ckpt, and best.ckpt (best mean validation DSC)."""
     if not dataset.train:
         raise ValueError("training split is empty")
+    if len(dataset.train) < 2:
+        raise ValueError("training split has 1 sample; batch norm needs 2")
     store = net.parameter_store()
     opt = Adam(store, weight_decay=cfg.weight_decay,
                decoupled=cfg.decoupled_decay)
@@ -217,6 +220,9 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
         seed = _epoch_seed(cfg.seed, epoch)
         for batch_id, (frames, labels) in enumerate(
                 batches(dataset.train, cfg.batch_size, seed, aug)):
+            if len(frames) < 2:
+                # a trailing single sample, trained in other epochs' batches
+                break
             x = Tensor(frames, dtype=net.dtype)
             try:
                 out = net(x)

@@ -4,8 +4,8 @@ sweep, and the finite-difference oracle itself."""
 import numpy as np
 import pytest
 
-from csdn.autodiff import (AutodiffError, Module, ModuleList, ParameterStore,
-                           Tensor, add, backward, mul, no_grad, record,
+from csdn.autodiff import (AutodiffError, Module, ParameterStore, Tensor,
+                           add, backward, mul, no_grad, record,
                            reduce_sum, scale)
 from csdn.gradcheck import finite_diff_check
 
@@ -259,7 +259,7 @@ class _Tree(Module):
     def __init__(self):
         super().__init__()
         self.left = _Leaf()
-        self.list = ModuleList([_Leaf(), _Leaf()])
+        self.list = [_Leaf(), _Leaf()]
 
 
 def test_module_names_are_dotted():

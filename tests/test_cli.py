@@ -4,6 +4,7 @@ main(argv) so stdout/stderr land in capsys."""
 
 import dataclasses
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from csdn.cli import (DataError, UsageError, echo_config, load_run_config,
 from csdn.losses import LossConfig
 from csdn.metrics import boundary_pixels, region_masks
 from csdn.model import CSDN, NetworkConfig
-from csdn.phantom import read_pgm
+from csdn.phantom import read_pgm, write_pgm
 from csdn.serial import save_checkpoint, save_weights
 from csdn.train import Adam, TrainConfig
 
@@ -179,9 +180,13 @@ def test_gen_data_writes_tree(ds64, capsys):
 
 
 def test_gen_data_size_guard(tmp_path, capsys):
-    rc = main(["gen-data", "--out", str(tmp_path / "x"), "--size", "100"])
-    assert rc == 1
-    assert "multiple of 64" in capsys.readouterr().err
+    for size in ("100", "0", "-64"):
+        out = tmp_path / f"x{size}"
+        assert main(["gen-data", "--out", str(out), "--size", size]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: --size must be a positive multiple of 64 "
+                       f"(got {size})\n")
+        assert not out.exists()
     out = tmp_path / "y"
     rc = main(["gen-data", "--out", str(out), "--size", "64", "--seed", "-1"])
     assert rc == 1
@@ -210,8 +215,6 @@ def test_gen_data_refuses_overwrite(ds64, tmp_path, capsys):
 
 
 def test_train_then_eval_and_report(ds64, tmp_path, capsys):
-    # batch_size divides the train split: a trailing batch of one sample
-    # would stop at the batchnorm guard once the context stage pools to 1x1
     cfg = write_cfg(tmp_path, "preset = micro\nepochs = 1\nbatch_size = 3\n"
                               "augment = none\nval_every = 1\n")
     out = tmp_path / "run"
@@ -236,6 +239,31 @@ def test_train_then_eval_and_report(ds64, tmp_path, capsys):
     lines = report.read_text().splitlines()
     assert lines[0] == "sample_id,region,dsc,iou,hd95_mm"
     assert len(lines) == 3  # header + lumen/eem rows for the one sample
+
+
+def test_train_skips_trailing_single_sample(tmp_path, capsys):
+    # 9 samples in batches of 8: batch norm over the last sample's 1x1
+    # pooled context map alone is undefined, so that batch is left out
+    ds = tmp_path / "ds9"
+    assert main(["gen-data", "--out", str(ds), "--n-train", "9",
+                 "--n-val", "0", "--size", "64"]) == 0
+    cfg = write_cfg(tmp_path, "preset = micro\nepochs = 1\nbatch_size = 8\n"
+                              "augment = none\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(ds), "--out", str(out),
+               "--config", cfg, "--quiet"])
+    assert rc == 0
+    assert len((out / "log.csv").read_text().splitlines()) == 2
+    assert (out / "last.ckpt").exists()
+    # a batch of one can never train: refused before anything is written
+    cfg = write_cfg(tmp_path, "preset = micro\nbatch_size = 1\n")
+    out = tmp_path / "run1"
+    rc = main(["train", "--data", str(ds), "--out", str(out),
+               "--config", cfg, "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}: batch_size must be >= 2"]
+    assert not out.exists()
 
 
 def test_train_nan_gradient_exits_3(ds64, tmp_path, capsys, monkeypatch):
@@ -375,11 +403,50 @@ def test_infer_missing_frame(micro_weights, tmp_path, capsys):
     assert "missing frame" in capsys.readouterr().err
 
 
+def copied_sample(ds64, tmp_path):
+    d = tmp_path / "sample"
+    shutil.copytree(ds64 / "train0000", d)
+    return d
+
+
+@pytest.mark.parametrize("name,arr,msg", [
+    ("frame2.pgm", np.zeros((32, 32), np.uint8),
+     "32x32, but frame1.pgm of sample sample is 64x64"),
+    ("label.pgm", np.full((64, 64), 7, np.uint8),
+     "label values must lie in {0, 1, 2}"),
+    ("label.pgm", np.zeros((64, 32), np.uint8),
+     "32x64, but frame1.pgm of sample sample is 64x64")],
+    ids=["small-frame2", "label-value-7", "narrow-label"])
+def test_infer_checks_sample_before_writing(ds64, micro_weights, tmp_path,
+                                            capsys, name, arr, msg):
+    d = copied_sample(ds64, tmp_path)
+    write_pgm(str(d / name), arr)
+    out = tmp_path / "o"
+    rc = main(["infer", "--weights", str(micro_weights), "--input", str(d),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {d / name}: {msg}"]
+    assert not out.exists()
+
+
+def test_infer_without_label(ds64, micro_weights, tmp_path, capsys):
+    d = copied_sample(ds64, tmp_path)
+    os.remove(d / "label.pgm")
+    out = tmp_path / "o"
+    rc = main(["infer", "--weights", str(micro_weights), "--input", str(d),
+               "--out", str(out)])
+    assert rc == 0
+    assert read_pgm(str(out / "label.pgm")).shape == (64, 64)
+
+
 def test_bench_guards(capsys):
     assert main(["bench", "--iters", "5"]) == 1
     assert "10" in capsys.readouterr().err
-    assert main(["bench", "--size", "33"]) == 1
-    assert "multiple of 32" in capsys.readouterr().err
+    for size in ("33", "0", "-32"):
+        assert main(["bench", "--size", size]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --size must be a positive multiple of 32 (got {size})\n")
     for flag in ("--batch", "--warmup"):
         assert main(["bench", flag, "0"]) == 1
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from scipy.signal import correlate2d
 from csdn import layers
 from csdn.autodiff import (AutodiffError, Tensor, backward, no_grad, record,
                            reduce_sum)
-from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _out_size, _resize_matrix,
+from csdn.layers import (BatchNorm2d, Conv2d, PReLU, _out_size,
                          batchnorm, concat_channels, conv2d, global_avg_pool,
                          he_uniform, pixel_shuffle, pixel_unshuffle, pool2d,
                          prelu, resize, sigmoid)
@@ -547,8 +547,7 @@ def test_global_avg_pool():
 def test_resize_identity_when_same_size():
     rng = np.random.Generator(np.random.PCG64(5))
     x = t(rng, 1, 2, 6, 6)
-    for mode in ("bilinear", "bicubic"):
-        assert np.allclose(resize(x, 6, 6, mode).data, x.data, atol=1e-12)
+    assert np.allclose(resize(x, 6, 6).data, x.data, atol=1e-12)
 
 
 def test_resize_bilinear_hand_case():
@@ -561,11 +560,11 @@ def test_resize_bilinear_hand_case():
 
 def test_resize_rows_are_convex_weights():
     # every output pixel of a constant image stays that constant
-    c = Tensor(np.full((1, 1, 13, 9), 3.7))
-    for mode in ("bilinear", "bicubic"):
-        for hw in ((26, 18), (7, 5), (64, 64)):
-            out = resize(c, hw[0], hw[1], mode)
-            assert np.allclose(out.data, 3.7, atol=1e-12), (mode, hw)
+    c = Tensor(np.full((1, 1, 14, 10), 3.7))
+    for mode, hw in (("bilinear", (26, 18)), ("bilinear", (7, 5)),
+                     ("bilinear", (64, 64)), ("bicubic", (7, 5))):
+        out = resize(c, hw[0], hw[1], mode)
+        assert np.allclose(out.data, 3.7, atol=1e-12), (mode, hw)
 
 
 def test_resize_downsample_by_two_averages_pairs():
@@ -581,15 +580,34 @@ def test_resize_guards():
         resize(x, 0, 4)
     with pytest.raises(ValueError, match="resize mode"):
         resize(x, 4, 4, "lanczos")
+    for hw in ((4, 4), (2, 3), (8, 8)):
+        with pytest.raises(ValueError, match="only halves"):
+            resize(x, *hw, "bicubic")
 
 
 def test_resize_gradient_is_transpose():
     rng = np.random.Generator(np.random.PCG64(6))
-    x = t(rng, 1, 1, 4, 4, grad=True)
-    out = resize(x, 8, 8, "bicubic")
+    x = t(rng, 1, 1, 8, 8, grad=True)
+    out = resize(x, 4, 4, "bicubic")
     backward(reduce_sum(out))
-    # sum over a row-stochastic upsample distributes 4 units per source sample
-    assert np.allclose(x.grad.sum(), 64.0, atol=1e-9)
+    # each of the 16 outputs of a row-stochastic resize hands back one unit
+    assert np.allclose(x.grad.sum(), 16.0, atol=1e-9)
+
+
+def keys_half_matrix(src):
+    """(src/2, src) half-size resize matrix from Keys' cubic kernel with
+    a = -0.75, half-pixel centres, edge taps clamped. Every tap lies at
+    distance 0.5 or 1.5."""
+    a, dst = -0.75, src // 2
+    coords = (np.arange(dst) + 0.5) * 2.0 - 0.5
+    i0 = np.floor(coords).astype(np.int64)
+    mat = np.zeros((dst, src))
+    for off in (-1, 0, 1, 2):
+        u = np.abs(coords - (i0 + off))
+        wgt = np.where(u <= 1.0, (a + 2) * u ** 3 - (a + 3) * u ** 2 + 1,
+                       a * u ** 3 - 5 * a * u ** 2 + 8 * a * u - 4 * a)
+        np.add.at(mat, (np.arange(dst), np.clip(i0 + off, 0, src - 1)), wgt)
+    return mat
 
 
 @pytest.mark.parametrize("size", [6, 64, 896])
@@ -598,8 +616,8 @@ def test_half_size_bicubic_matches_dense_matrix(size, dtype, tol):
     rng = np.random.Generator(np.random.PCG64(size))
     x = Tensor(rng.normal(size=(1, 2, size, size + 2)).astype(dtype))
     got = resize(x, size // 2, size // 2 + 1, "bicubic").data
-    ah = _resize_matrix(size, size // 2, "bicubic")
-    aw = _resize_matrix(size + 2, size // 2 + 1, "bicubic")
+    ah = keys_half_matrix(size)
+    aw = keys_half_matrix(size + 2)
     want = ah @ x.data.astype(F64) @ aw.T
     assert got.dtype == dtype
     assert np.abs(got - want).max() <= tol * np.abs(want).max()

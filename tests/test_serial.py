@@ -167,6 +167,16 @@ MICRO_CKPT_SHA256 = \
     "3295de516c16783e0e4a2dad752ab2eb1450d2346b3144bcdb6d5ed945ab2f60"
 
 
+# sha256 of each other preset's fresh seed-0 weight file: the parameter and
+# buffer names, shapes and init order of the whole network
+PRESET_WEIGHTS_SHA256 = {
+    "tiny": "8144ffde8a953781cb4cc05c98a01f342cc72e22ca4c04c9e6b649362bbb0417",
+    "desk": "bf7441a97d22bb6d886b1a8854c8430700a45e78747f6e8c8e707ef57a7dee86",
+    "reference":
+        "fd926294639522cce7e8dfe1da398f1bf72d6dc841dbe6d03fc95915cbbc25dc",
+}
+
+
 def save_micro_checkpoint(path):
     net = CSDN(NetworkConfig.micro(), seed=0)
     save_checkpoint(path, net, Adam(net.parameter_store()), epoch=1,
@@ -180,6 +190,10 @@ def test_format_bytes_pinned(tmp_path):
     assert hashlib.sha256(weights_bytes(net)).hexdigest() == \
         MICRO_WEIGHTS_SHA256
     assert hashlib.sha256(p.read_bytes()).hexdigest() == MICRO_CKPT_SHA256
+    for preset, digest in PRESET_WEIGHTS_SHA256.items():
+        net = CSDN(getattr(NetworkConfig, preset)(), seed=0)
+        assert hashlib.sha256(weights_bytes(net)).hexdigest() == digest, \
+            preset
 
 
 def prefix_cuts(size, marks):

@@ -294,6 +294,14 @@ def test_train_empty_split(tmp_path, small_ds):
               LossConfig(), quiet=True)
 
 
+def test_train_single_sample_split(tmp_path):
+    root = str(tmp_path / "one")
+    generate_dataset(root, 1, 0, 64, seed=1)
+    with pytest.raises(ValueError, match="1 sample; batch norm needs 2"):
+        train(CSDN(NetworkConfig.micro(), seed=0), Dataset.open(root),
+              micro_cfg(), LossConfig(), quiet=True)
+
+
 def test_train_max_steps(small_ds):
     net = CSDN(NetworkConfig.micro(), seed=0)
     logs = train(net, small_ds, micro_cfg(epochs=5), LossConfig(),
