@@ -27,7 +27,7 @@ from .model import CSDN, NetworkConfig, count_parameters
 from .phantom import (DEFAULT_SPACING_MM, Dataset, generate_dataset,
                       read_sample_dir, write_pgm)
 from .serial import FormatError, load_weights
-from .train import TrainConfig, load_resume
+from .train import TrainConfig, check_train_split, load_resume
 from .train import train as run_training
 
 
@@ -176,6 +176,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     net_cfg, train_cfg, loss_cfg = load_run_config(args.config)
     ds = Dataset.open(args.data)
+    check_train_split(ds)
     state = {}
     if args.resume:  # checked before <out> is touched
         if not os.path.exists(args.resume):

@@ -7,14 +7,14 @@ map. One correlation routine serves every conv forward and the stride-1
 input gradient; a strided input gradient scatters the taps back (col2im).
 Average pooling is that correlation with a ones kernel over the in-bounds
 counts, with col2im as its backward; max pooling reads the same views.
-Dense correlation runs as a channel-major im2col (one copy per tap) and
-one GEMM per image whose output is already NCHW; only a weight gradient
-keeps the columns, and any other dense conv fills and multiplies them one
-cache-sized band of output rows at a time. Depthwise correlation is k*k
-shifted multiply-accumulates. Bilinear resize applies cached per-axis
-interpolation matrices with broadcast matmul, so the backward pass is the
-transposed product; bicubic resize only halves, as the network's front
-end does, and runs forward as its fixed 4-tap filter instead.
+Dense and depthwise correlation run as one channel-major im2col (one
+copy per tap) and one matmul whose output is already NCHW; only a weight
+gradient keeps the columns, and any other conv fills and multiplies them
+one cache-sized band of output rows at a time. Bilinear resize applies
+cached per-axis interpolation matrices with broadcast matmul, so the
+backward pass is the transposed product; bicubic resize only halves, as
+the network's front end does, and runs forward as its fixed 4-tap filter
+instead.
 """
 
 from __future__ import annotations
@@ -92,44 +92,53 @@ def _flat_taps(flat: np.ndarray, kh, kw, wp, oh, r0=0):
 _BAND_BYTES = 1 << 20
 
 
-def _im2col_gemm(taps, w, n, oh, ow, dtype, keep):
-    """Dense correlation as one GEMM per image over channel-major columns,
-    filled and multiplied one band of output rows at a time, where
+def _gemm_form(w: np.ndarray, n: int, c: int):
+    """(matrix, batch) of a correlation with w over n images of c channels
+    as a matmul over columns seen as batch + (rows, L): dense, one (c_out,
+    c*kh*kw) matrix per image; depthwise, one (1, kh*kw) row per channel."""
+    if w.ndim == 3:
+        return w.reshape(len(w), 1, -1), (n, c)
+    return w.reshape(len(w), -1), (n,)
+
+
+def _im2col_gemm(taps, w, n, c, oh, ow, dtype, keep):
+    """Correlation as one matmul (``_gemm_form``) over channel-major
+    columns, filled and multiplied one band of output rows at a time, where
     ``taps(r0, rows)`` yields the taps of rows r0 .. r0+rows-1. A band's
-    w.reshape(c_out, -1) @ cols is already NCHW and lands in its rows of
-    the output. With ``keep`` one band spans the map and its columns are
-    returned for the weight gradient; otherwise bands of about
+    product is already NCHW and lands in its rows of the output. With
+    ``keep`` one band spans the map and its columns are returned, in the
+    matmul's view, for the weight gradient; otherwise bands of about
     ``_BAND_BYTES`` and a multiple of 16 columns per image share one
     buffer and None is returned. OpenBLAS kernels tile the columns by 4 to
-    16, so a band's sums are the one-band GEMM's, bit for bit."""
-    c_out, c, kh, kw = w.shape
+    16, so a band's sums are the one-band product's, bit for bit."""
+    kh, kw = w.shape[-2:]
     k = c * kh * kw
+    wm, batch = _gemm_form(w, n, c)
     step = 16 // np.gcd(ow, 16)
     rows = _BAND_BYTES // (n * k * ow * np.dtype(dtype).itemsize)
     rows = oh if keep else min(oh, max(step, rows - rows % step))
     buf = np.empty(n * k * rows * ow, dtype=dtype)
-    out = np.empty((n, c_out, oh * ow), dtype=np.result_type(w, dtype))
+    out = np.empty(batch + (wm.shape[-2], oh * ow),
+                   dtype=np.result_type(w, dtype))
     for r0 in range(0, oh, rows):
         r = min(rows, oh - r0)
         cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
         for i, j, tap in taps(r0, r):
             cols[:, :, i, j] = tap
-        cols = cols.reshape(n, k, r * ow)
-        np.matmul(w.reshape(c_out, k), cols,
-                  out=out[:, :, r0 * ow:(r0 + r) * ow])
-    return out.reshape(n, c_out, oh, ow), cols if keep else None
+        cols = cols.reshape(batch + (-1, r * ow))
+        np.matmul(wm, cols, out=out[..., r0 * ow:(r0 + r) * ow])
+    return out.reshape(n, -1, oh, ow), cols if keep else None
 
 
-def _corr(x: np.ndarray, w: np.ndarray, stride, padding, depthwise: bool,
-          keep: bool):
+def _corr(x: np.ndarray, w: np.ndarray, stride, padding, keep: bool):
     """Correlation of x with w (dense (c_out, c, kh, kw) or depthwise
     (c or 1, kh, kw)) read from one ``_flat_pad`` buffer: at stride 1 as
     contiguous ``_flat_taps`` over wp-wide rows, else as strided ``_taps``
     over ow-wide ones.
 
-    Returns (out, cache, cols). The cache serves the weight gradient over
-    rows ``cols`` wide: depthwise, it is the tap reader taps(r0, rows);
-    dense, the columns with ``keep``, else None."""
+    Returns (out, cols, width): the columns, in the matmul's view over rows
+    ``width`` wide, serve the weight gradient; with neither ``keep`` nor a
+    stride-1 1x1 kernel (whose columns are x itself) they are None."""
     n, c, h, w_ = x.shape
     (sh, sw), (ph, pw) = stride, padding
     kh, kw = w.shape[-2:]
@@ -137,49 +146,38 @@ def _corr(x: np.ndarray, w: np.ndarray, stride, padding, depthwise: bool,
     flat, wp = _flat_pad(x, ph, pw, kw)
     stride1 = (sh, sw) == (1, 1)
     if stride1:
-        cols = wp
+        width = wp
 
         def taps(r0, r):
             return _flat_taps(flat, kh, kw, wp, r, r0)
     else:
-        cols, xp = ow, flat.reshape(n, c, -1, wp)
+        width, xp = ow, flat.reshape(n, c, -1, wp)
 
         def taps(r0, r):
             return _taps(xp, kh, kw, sh, sw, r, ow, r0)
-    if depthwise:
-        out = np.zeros((n, c, oh, cols), dtype=np.result_type(x, w))
-        tmp = np.empty_like(out)
-        for i, j, tap in taps(0, oh):
-            out += np.multiply(tap, w[:, i, j, None, None], out=tmp)
-        cache = taps
-    elif stride1 and (kh, kw) == (1, 1):
-        cache = flat[:, :, :oh * wp]
-        out = np.matmul(w.reshape(w.shape[0], -1), cache)
-        out = out.reshape(n, w.shape[0], oh, wp)
+    if stride1 and (kh, kw) == (1, 1):
+        wm, batch = _gemm_form(w, n, c)
+        cols = flat[:, :, :oh * wp].reshape(batch + (-1, oh * wp))
+        out = np.matmul(wm, cols).reshape(n, -1, oh, wp)
     else:
-        out, cache = _im2col_gemm(taps, w, n, oh, cols, x.dtype, keep)
-    return np.ascontiguousarray(out[:, :, :, :ow]), cache, cols
+        out, cols = _im2col_gemm(taps, w, n, c, oh, width, x.dtype, keep)
+    return np.ascontiguousarray(out[:, :, :, :ow]), cols, width
 
 
 def _col2im(g: np.ndarray, w: np.ndarray, hp: int, wp: int, sh: int,
-            sw: int, depthwise: bool) -> np.ndarray:
+            sw: int) -> np.ndarray:
     """Input gradient of a strided correlation, on the (hp, wp) padded map:
-    each tap's share of g is added back where that tap read (col2im).
-    Dense shares come from one GEMM, w^T @ g; depthwise ones are g * w."""
+    one matmul, w^T @ g in ``_gemm_form``, gives each tap's share of g, and
+    each share is added back where that tap read (col2im)."""
     n, c_out, oh, ow = g.shape
     kh, kw = w.shape[-2:]
-    c = c_out if depthwise else w.shape[1]
-    gxp = np.zeros((n, c, hp, wp), dtype=g.dtype)
-    taps = _taps(gxp, kh, kw, sh, sw, oh, ow)
-    if depthwise:
-        tmp = np.empty_like(g)
-        for i, j, tap in taps:
-            tap += np.multiply(g, w[:, i, j, None, None], out=tmp)
-    else:
-        gcols = np.matmul(w.reshape(c_out, -1).T, g.reshape(n, c_out, oh * ow))
-        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-        for i, j, tap in taps:
-            tap += gcols[:, :, i, j]
+    wm, batch = _gemm_form(w, n, c_out)  # depthwise, c is c_out
+    gcols = np.matmul(np.swapaxes(wm, -1, -2),
+                      g.reshape(batch + (-1, oh * ow)))
+    gcols = gcols.reshape(n, -1, kh, kw, oh, ow)
+    gxp = np.zeros((n, gcols.shape[1], hp, wp), dtype=g.dtype)
+    for i, j, tap in _taps(gxp, kh, kw, sh, sw, oh, ow):
+        tap += gcols[:, :, i, j]
     return gxp
 
 
@@ -204,19 +202,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     w_data = weight.data
     w_eff = w_data[:, 0] if depthwise else w_data
     inputs = [x, weight] + ([bias] if bias is not None else [])
-    # the dense columns are kept only for a weight gradient that will be taken
+    # the columns are kept only for a weight gradient that will be taken
     keep = grad_enabled() and any(t.requires_grad for t in inputs)
-    out_data, cache, cols = _corr(x.data, w_eff, (sh, sw), (ph, pw),
-                                  depthwise, keep)
+    out_data, cols, width = _corr(x.data, w_eff, (sh, sw), (ph, pw), keep)
     oh, ow = out_data.shape[2:]
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
-    has_bias = bias is not None
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        if (sh, sw) == (1, 1):
+        gx = None  # nothing reads it: x is neither recorded nor a leaf
+        if x.requires_grad and (sh, sw) != (1, 1):
+            gxp = _col2im(g, w_eff, h + 2 * ph, w + 2 * pw, sh, sw)
+            gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
+        elif x.requires_grad:
             if kh - 1 - ph < 0 or kw - 1 - pw < 0:
                 raise ValueError(f"padding {ph, pw} exceeds kernel-1 "
                                  f"{kh - 1, kw - 1}")
@@ -225,24 +225,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if not depthwise:
                 w_flip = np.ascontiguousarray(w_flip.transpose(1, 0, 2, 3))
             gx = _corr(g, w_flip, (1, 1), (kh - 1 - ph, kw - 1 - pw),
-                       depthwise, False)[0]
-        else:
-            gxp = _col2im(g, w_eff, h + 2 * ph, w + 2 * pw, sh, sw, depthwise)
-            gx = np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w])
-        # the cache spans cols-wide rows: zero g over the wrapped columns
+                       False)[0]
+        # the columns span width-wide rows: zero g over the wrapped ones
         gz = g
-        if cols != ow:
-            gz = np.zeros((n, c_out, oh, cols), dtype=g.dtype)
+        if width != ow:
+            gz = np.zeros((n, c_out, oh, width), dtype=g.dtype)
             gz[:, :, :, :ow] = g
-        if depthwise:
-            gw = np.empty_like(w_data)
-            for i, j, tap in cache(0, oh):
-                gw[:, 0, i, j] = np.einsum("nchw,nchw->c", gz, tap)
-        else:
-            gw = np.matmul(gz.reshape(n, c_out, -1), cache.transpose(0, 2, 1))
-            gw = gw.sum(axis=0).reshape(w_data.shape)
-        grads = [gx, gw]
-        if has_bias:
+        gz = gz.reshape(cols.shape[:-2] + (-1, cols.shape[-1]))
+        gw = np.matmul(gz, np.swapaxes(cols, -1, -2))
+        grads = [gx, gw.sum(axis=0).reshape(w_data.shape)]
+        if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
         return grads
 
@@ -337,12 +329,12 @@ def pool2d(kind: str, x: Tensor, kernel=3, stride=2, padding=1) -> Tensor:
     # a depthwise correlation with a ones kernel, over the window sums of x
     # and of an all-ones image (the in-bounds counts)
     ones = np.ones((1, kh, kw), dtype=x.dtype)
-    acc, cnt = (_corr(a, ones, (sh, sw), (ph, pw), True, False)[0]
+    acc, cnt = (_corr(a, ones, (sh, sw), (ph, pw), False)[0]
                 for a in (x.data, np.ones((1, 1, h, w), dtype=x.dtype)))
     out = Tensor(acc / cnt)
 
     def bwd(g):
-        gxp = _col2im(g / cnt, ones, h + 2 * ph, w + 2 * pw, sh, sw, True)
+        gxp = _col2im(g / cnt, ones, h + 2 * ph, w + 2 * pw, sh, sw)
         return (np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),)
 
     return record(out, [x], bwd, "avg_pool2d")

@@ -8,6 +8,7 @@ slopes are exempt. A decoupled variant is available behind a flag.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass
@@ -185,6 +186,14 @@ def _epoch_seed(master_seed: int, epoch: int) -> int:
                .generate_state(1)[0])
 
 
+def check_train_split(dataset: Dataset):
+    """Refuse a training split without the two samples batch norm needs."""
+    if not dataset.train:
+        raise ValueError("training split is empty")
+    if len(dataset.train) < 2:
+        raise ValueError("training split has 1 sample; batch norm needs 2")
+
+
 def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
           loss_cfg: LossConfig, out_dir: str | None = None,
           quiet: bool = False, start_epoch: int = 0,
@@ -193,10 +202,10 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
           ) -> list[EpochLog]:
     """Run the epoch loop; returns the per-epoch log. When out_dir is set,
     writes log.csv, last.ckpt, and best.ckpt (best mean validation DSC)."""
-    if not dataset.train:
-        raise ValueError("training split is empty")
-    if len(dataset.train) < 2:
-        raise ValueError("training split has 1 sample; batch norm needs 2")
+    check_train_split(dataset)
+    # a trailing single sample is never batched: it trains in other epochs
+    full, rest = divmod(len(dataset.train), cfg.batch_size)
+    n_batches = full + (rest > 1)
     store = net.parameter_store()
     opt = Adam(store, weight_decay=cfg.weight_decay,
                decoupled=cfg.decoupled_decay)
@@ -218,11 +227,8 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
         losses = []
         t0 = time.time()
         seed = _epoch_seed(cfg.seed, epoch)
-        for batch_id, (frames, labels) in enumerate(
-                batches(dataset.train, cfg.batch_size, seed, aug)):
-            if len(frames) < 2:
-                # a trailing single sample, trained in other epochs' batches
-                break
+        for batch_id, (frames, labels) in enumerate(itertools.islice(
+                batches(dataset.train, cfg.batch_size, seed, aug), n_batches)):
             x = Tensor(frames, dtype=net.dtype)
             try:
                 out = net(x)

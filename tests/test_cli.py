@@ -266,6 +266,19 @@ def test_train_skips_trailing_single_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_refuses_one_sample_split_before_writing(tmp_path, capsys):
+    ds = tmp_path / "ds1"
+    assert main(["gen-data", "--out", str(ds), "--n-train", "1",
+                 "--n-val", "0", "--size", "64"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(ds), "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_train_nan_gradient_exits_3(ds64, tmp_path, capsys, monkeypatch):
     real_backward = train_module.backward
 

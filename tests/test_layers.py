@@ -1,6 +1,8 @@
 """Conv / norm / activation / resample primitives against independent
 oracles: scipy correlation, naive window loops, and hand matrices."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import correlate2d
@@ -170,6 +172,34 @@ def test_conv2d_backward_is_adjoint(depthwise, stride):
         assert np.isclose(np.vdot(w.grad, w.data), inner, rtol=1e-12)
 
 
+def test_conv2d_skips_the_gradient_of_a_plain_input(monkeypatch):
+    # backward drops an input gradient for an x that is neither recorded
+    # nor a leaf wanting one, so conv2d forms none: no _corr, no _col2im
+    rng = np.random.Generator(np.random.PCG64(75))
+    for depthwise in (False, True):
+        for stride in (1, 2):
+            x = rng.normal(size=(2, 4, 9, 8))
+            w = rng.normal(size=(4, 1, 3, 3) if depthwise else (5, 4, 3, 3))
+            g = rng.normal(size=(2, len(w), _out_size(9, 3, stride, 1),
+                                 _out_size(8, 3, stride, 1)))
+            grads, calls = [], []
+            for x_grad in (True, False):
+                xt = Tensor(x, requires_grad=x_grad)
+                wt = Tensor(w, requires_grad=True)
+                out = conv2d(xt, wt, None, stride=stride, padding=1,
+                             groups=4 if depthwise else 1)
+                with monkeypatch.context() as m:
+                    if not x_grad:
+                        for name in ("_corr", "_col2im"):
+                            m.setattr(layers, name,
+                                      lambda *a, name=name: calls.append(name))
+                    backward(reduce_sum(out * Tensor(g)))
+                assert (xt.grad is not None) == x_grad
+                grads.append(wt.grad)
+            assert calls == []
+            assert np.array_equal(grads[0], grads[1])
+
+
 def canvas_input_grad(g, w, stride, padding, h, w_, depthwise):
     """The input gradient as a stride-1 correlation: dilate g by the stride
     onto a zero canvas padded by k-1-p (plus the rows and columns the
@@ -210,20 +240,33 @@ def test_col2im_input_gradient_matches_dilated_canvas(depthwise):
             assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def strided_depthwise(x, w, padding, stride=1):
-    # the strided-tap loop: zero-init, then += tap * w per tap in (i, j) order
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    c, _, kh, kw = w.shape
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    out = np.zeros((x.shape[0], c, oh, ow), dtype=x.dtype)
-    tmp = np.empty_like(out)
+def np_pad_columns(x, kh, kw, padding, stride, width=None):
+    """(n, c, kh, kw, oh, width) im2col columns of x: np.pad, then one
+    strided tap of the padded map per kernel offset in the first ow columns
+    of each row, zeros in the rest (width defaults to ow)."""
+    p, s = padding, stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    oh = (xp.shape[2] - kh) // s + 1
+    ow = (xp.shape[3] - kw) // s + 1
+    cols = np.zeros(x.shape[:2] + (kh, kw, oh, width or ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += np.multiply(xp[:, :, i:i + stride * oh:stride,
-                                  j:j + stride * ow:stride],
-                               w[:, 0, i, j].reshape(1, c, 1, 1), out=tmp)
-    return out
+            cols[:, :, i, j, :, :ow] = xp[:, :, i:i + s * oh:s,
+                                          j:j + s * ow:s]
+    return cols, ow
+
+
+def strided_depthwise(x, w, padding, stride=1):
+    """Each channel's (1, k*k) weight row times its (k*k, oh*width)
+    columns. At stride 1 the rows are as wide as the padded map, as the
+    flat tap reader lays them out: OpenBLAS's float64 gemv rounds the last
+    few columns of a product its own way, so the widths must agree."""
+    n, c = x.shape[:2]
+    width = x.shape[3] + 2 * padding if stride == 1 else None
+    cols, ow = np_pad_columns(x, *w.shape[2:], padding, stride, width)
+    oh, width = cols.shape[4:]
+    y = np.matmul(w.reshape(c, 1, -1), cols.reshape(n, c, -1, oh * width))
+    return y.reshape(n, c, oh, width)[:, :, :, :ow]
 
 
 def test_flat_depthwise_is_bit_identical_to_strided_taps():
@@ -241,50 +284,71 @@ def test_flat_depthwise_is_bit_identical_to_strided_taps():
                     got, strided_depthwise(x, w, padding, stride))
 
 
+def mac_depthwise(x, w, padding, stride):
+    # k*k shifted multiply-accumulates: zero-init, then += tap * w per tap
+    cols, _ = np_pad_columns(x, *w.shape[2:], padding, stride)
+    out = np.zeros(cols.shape[:2] + cols.shape[4:], dtype=x.dtype)
+    for i in range(w.shape[2]):
+        for j in range(w.shape[3]):
+            out += cols[:, :, i, j] * w[:, 0, i, j].reshape(1, -1, 1, 1)
+    return out
+
+
+def test_depthwise_float32_error_within_dot_product_bound():
+    # against the exact sum of each window's float64 products (a float32
+    # product is exact in float64), both the matmul and the k*k
+    # multiply-accumulate orders err by at most k*k * eps * sum |w * x|
+    rng = np.random.Generator(np.random.PCG64(82))
+    eps = np.finfo(np.float32).eps
+    for stride, padding in ((1, 1), (2, 1), (1, 0), (2, 0)):
+        x = rng.normal(size=(2, 4, 9, 8)).astype(np.float32)
+        w = rng.normal(size=(4, 1, 3, 3)).astype(np.float32)
+        got = conv2d(Tensor(x), Tensor(w), None, stride=stride,
+                     padding=padding, groups=4).data
+        mac = mac_depthwise(x, w, padding, stride)
+        cols, _ = np_pad_columns(x.astype(F64), 3, 3, padding, stride)
+        terms = (cols * w.astype(F64).reshape(1, 4, 3, 3, 1, 1)).reshape(
+            2, 4, 9, *got.shape[2:])
+        exact = np.apply_along_axis(math.fsum, 2, terms)
+        bound = 9 * eps * np.abs(terms).sum(axis=2)
+        for y in (got, mac):
+            assert y.dtype == np.float32
+            assert (np.abs(y - exact) <= bound).all()
+
+
 # The strided conv and the two pools as they ran before every windowed op
-# read one flat padded buffer: np.pad, then strided taps of the padded map.
-# Kept as the oracle the shared machinery must match bit for bit.
+# read one flat padded buffer: np.pad, then strided taps of the padded map,
+# with the conv's columns reduced by the same matmuls as conv2d's. Kept as
+# the oracle the shared machinery must match bit for bit.
 
 
 def np_pad_strided_conv(x, w, b, g, stride, padding, depthwise):
     """(output, input, weight and bias gradients) of a strided conv under
     the cotangent g."""
     s, p = stride, padding
-    n, c = x.shape[:2]
+    n, c, h, w_ = x.shape
     c_out, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    cols, _ = np_pad_columns(x, kh, kw, p, s)
     oh, ow = g.shape[2:]
-
-    def taps(a):
-        for i in range(kh):
-            for j in range(kw):
-                yield i, j, a[:, :, i:i + s * oh:s, j:j + s * ow:s]
-
-    gxp = np.zeros_like(xp)
-    if depthwise:
-        y = np.zeros((n, c, oh, ow), dtype=x.dtype)
-        tmp = np.empty_like(y)
-        for i, j, tap in taps(xp):
-            y += np.multiply(tap, w[:, 0, i, j, None, None], out=tmp)
-        for i, j, tap in taps(gxp):
-            tap += np.multiply(g, w[:, 0, i, j, None, None], out=tmp)
-        gw = np.empty_like(w)
-        for i, j, tap in taps(xp):
-            gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, tap)
+    if depthwise:  # a (1, k*k) weight row per channel
+        wm = w.reshape(c, 1, -1)
+        cols = cols.reshape(n, c, kh * kw, oh * ow)
+        gm = g.reshape(n, c, 1, -1)
     else:
-        cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-        for i, j, tap in taps(xp):
-            cols[:, :, i, j] = tap
+        wm = w.reshape(c_out, -1)
         cols = cols.reshape(n, c * kh * kw, oh * ow)
-        y = np.matmul(w.reshape(c_out, -1), cols).reshape(n, c_out, oh, ow)
-        gcols = np.matmul(w.reshape(c_out, -1).T, g.reshape(n, c_out, -1))
-        gcols = gcols.reshape(n, c, kh, kw, oh, ow)
-        for i, j, tap in taps(gxp):
-            tap += gcols[:, :, i, j]
-        gw = np.matmul(g.reshape(n, c_out, -1), cols.transpose(0, 2, 1))
-        gw = gw.sum(axis=0).reshape(w.shape)
+        gm = g.reshape(n, c_out, -1)
+    y = np.matmul(wm, cols).reshape(n, c_out, oh, ow)
+    gcols = np.matmul(np.swapaxes(wm, -1, -2), gm)
+    gcols = gcols.reshape(n, c, kh, kw, oh, ow)
+    gxp = np.zeros((n, c, h + 2 * p, w_ + 2 * p), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += gcols[:, :, i, j]
+    gw = np.matmul(gm, np.swapaxes(cols, -1, -2))
+    gw = gw.sum(axis=0).reshape(w.shape)
     y += b
-    gx = gxp[:, :, p:p + x.shape[2], p:p + x.shape[3]]
+    gx = gxp[:, :, p:p + h, p:p + w_]
     return y, gx, gw, g.sum(axis=(0, 2, 3)).reshape(b.shape)
 
 
@@ -386,28 +450,32 @@ def test_banded_im2col_matches_one_band(monkeypatch, stride, dtype):
     rng = np.random.Generator(np.random.PCG64(90 + stride))
     rows = band_rows(monkeypatch)
     partial = 0
-    for shape, k, padding in BANDED[stride]:
-        x = Tensor(rng.normal(size=shape).astype(dtype))
-        w = Tensor(rng.normal(size=(5, shape[1], k, k)).astype(dtype))
-        b = Tensor(rng.normal(size=(1, 5, 1, 1)).astype(dtype))
-        outs = []
-        for band in (1 << 40, 1, 1 << 13):
-            monkeypatch.setattr(layers, "_BAND_BYTES", band)
-            rows.clear()
-            with no_grad():
-                out = conv2d(x, w, b, stride=stride, padding=padding)
-            outs.append(out.data)
-            assert sum(rows) == outs[0].shape[2]
-            if band == 1:
-                assert len(rows) > 1
-                partial += rows[-1] < rows[0]
-        assert outs[0].dtype == dtype
-        for out in outs[1:]:
-            assert np.array_equal(out, outs[0])
-        if dtype is F64:
-            want = direct_conv(x.data, w.data, stride, padding, False) + b.data
-            assert np.allclose(outs[1], want, rtol=0, atol=1e-12)
-    assert partial >= 2
+    for depthwise in (False, True):
+        for shape, k, padding in BANDED[stride]:
+            c = shape[1]
+            w_shape = (c, 1, k, k) if depthwise else (5, c, k, k)
+            x = Tensor(rng.normal(size=shape).astype(dtype))
+            w = Tensor(rng.normal(size=w_shape).astype(dtype))
+            b = Tensor(rng.normal(size=(1, w_shape[0], 1, 1)).astype(dtype))
+            outs = []
+            for band in (1 << 40, 1, 1 << 13):
+                monkeypatch.setattr(layers, "_BAND_BYTES", band)
+                rows.clear()
+                with no_grad():
+                    out = conv2d(x, w, b, stride=stride, padding=padding,
+                                 groups=c if depthwise else 1)
+                outs.append(out.data)
+                assert sum(rows) == outs[0].shape[2]
+                if band == 1:
+                    assert len(rows) > 1
+                    partial += rows[-1] < rows[0]
+            assert outs[0].dtype == dtype
+            for out in outs[1:]:
+                assert np.array_equal(out, outs[0]), (depthwise, shape)
+            if dtype is F64:
+                want = direct_conv(x.data, w.data, stride, padding, depthwise)
+                assert np.allclose(outs[1], want + b.data, rtol=0, atol=1e-12)
+    assert partial >= 4
 
 
 def test_banded_stride1_input_gradient(monkeypatch):

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import csdn
+from csdn import phantom
 from csdn.autodiff import AutodiffError, ParameterStore, Tensor
 from csdn.losses import LossConfig
 from csdn.model import CSDN, NetworkConfig
-from csdn.phantom import Dataset, generate_dataset
+from csdn.phantom import Dataset, augment, generate_dataset
 from csdn.train import (BETA1, BETA2, EPS, LOG_HEADER, Adam, EpochLog,
                         TrainConfig, lr_at_epoch, resume, train)
 
@@ -300,6 +301,25 @@ def test_train_single_sample_split(tmp_path):
     with pytest.raises(ValueError, match="1 sample; batch norm needs 2"):
         train(CSDN(NetworkConfig.micro(), seed=0), Dataset.open(root),
               micro_cfg(), LossConfig(), quiet=True)
+
+
+def test_trailing_single_sample_is_never_built(tmp_path, monkeypatch):
+    # 9 samples in batches of 8: the ninth would form a batch of one, which
+    # trains nothing, so it is neither stacked nor augmented
+    root = str(tmp_path / "nine")
+    generate_dataset(root, 9, 0, 64, seed=2)
+    calls = []
+
+    def counted(sample, seed, cfg):
+        calls.append(seed)
+        return augment(sample, seed, cfg)
+
+    monkeypatch.setattr(phantom, "augment", counted)
+    logs = train(CSDN(NetworkConfig.micro(), seed=0), Dataset.open(root),
+                 micro_cfg(batch_size=8, augment="full"), LossConfig(),
+                 quiet=True)
+    assert len(logs) == 2
+    assert len(calls) == 2 * 8
 
 
 def test_train_max_steps(small_ds):
