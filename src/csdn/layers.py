@@ -1,25 +1,28 @@
 """Differentiable layer kernels on the rank-4 tensor type.
 
-Every windowed op reads one flat padded buffer (``_flat_pad``; -inf for
-max pooling, zeros otherwise): at stride 1 each kernel tap is a
-contiguous slice of it, at other strides a strided view of the padded
-map. One correlation routine serves every conv forward and the stride-1
-input gradient; a strided input gradient scatters the taps back (col2im).
+Every windowed op pads its input once (``_pad``; -inf for max pooling,
+zeros otherwise) and reads it through one read-only (n, c, kh, kw, oh, ow)
+strided view (``_windows``), ow columns per output row at every stride.
+One correlation routine serves every conv forward and the stride-1 input
+gradient; a strided input gradient scatters the taps back (col2im).
 Average pooling is that correlation with a ones kernel over the in-bounds
-counts, with col2im as its backward; max pooling reads the same views.
-Dense and depthwise correlation run as one channel-major im2col (one
-copy per tap) and one matmul whose output is already NCHW; only a weight
-gradient keeps the columns, and any other conv fills and multiplies them
-one cache-sized band of output rows at a time. Bilinear resize applies
-cached per-axis interpolation matrices with broadcast matmul, so the
-backward pass is the transposed product; bicubic resize only halves, as
-the network's front end does, and runs forward as its fixed 4-tap filter
-instead.
+counts, with col2im as its backward; max pooling reads the same view.
+Dense and depthwise correlation run as one channel-major im2col (one copy
+of the view per band of output rows) and one matmul whose output is
+already NCHW; only a weight gradient keeps the columns, and any other conv
+fills and multiplies them one cache-sized band at a time. Bilinear resize
+applies cached per-axis interpolation matrices with broadcast matmul, so
+the backward pass is the transposed product; bicubic resize only halves,
+as the network's front end does, and runs forward as its fixed 4-tap
+filter instead.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import AutodiffError, Module, Tensor, grad_enabled, record
 
@@ -47,43 +50,33 @@ def _out_size(n: int, k: int, s: int, p: int) -> int:
     return o
 
 
-def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow, r0=0):
-    """(i, j, view) per kernel tap: the (n, c, oh, ow) strided slice of a
-    padded map that tap (i, j) reads for output rows r0 .. r0+oh-1."""
+def _taps(xp: np.ndarray, kh, kw, sh, sw, oh, ow):
+    """(i, j, view) per kernel tap: the writable (n, c, oh, ow) strided
+    slice of a padded map where tap (i, j) reads."""
     for i in range(kh):
-        t = i + sh * r0
         for j in range(kw):
-            yield i, j, xp[:, :, t:t + sh * oh:sh, j:j + sw * ow:sw]
+            yield i, j, xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
 
 
-def _flat_pad(x: np.ndarray, ph: int, pw: int, kw: int,
-              fill: float = 0.0) -> tuple[np.ndarray, int]:
-    """Pad (n, c, h, w) with ``fill`` into a flat (n, c, (h+2ph+1) * wp)
-    buffer with row length wp = w + 2pw; returns (buffer, wp). Seen as
-    (n, c, h+2ph+1, wp) it is the padded map that ``_taps`` reads; the
-    spare row keeps the last stride-1 tap in bounds. A 1-wide kernel with
-    no padding reads x itself, flattened."""
+def _pad(x: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
+    """(n, c, h, w) padded by ph rows and pw columns of ``fill`` on each
+    side; x itself when there is no padding."""
+    if not (ph or pw):
+        return x
     n, c, h, w = x.shape
-    if not (ph or pw) and kw == 1:
-        return x.reshape(n, c, h * w), w
-    hp, wp = h + 2 * ph, w + 2 * pw
-    shape = (n, c, (hp + 1) * wp)
-    flat = (np.zeros(shape, dtype=x.dtype) if fill == 0
-            else np.full(shape, fill, dtype=x.dtype))
-    flat.reshape(n, c, hp + 1, wp)[:, :, ph:ph + h, pw:pw + w] = x
-    return flat, wp
+    shape = (n, c, h + 2 * ph, w + 2 * pw)
+    xp = (np.zeros(shape, dtype=x.dtype) if fill == 0
+          else np.full(shape, fill, dtype=x.dtype))
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
 
 
-def _flat_taps(flat: np.ndarray, kh, kw, wp, oh, r0=0):
-    """(i, j, view) per stride-1 tap of a ``_flat_pad`` buffer for output
-    rows r0 .. r0+oh-1: the contiguous slice from (r0+i)*wp + j, seen as
-    (n, c, oh, wp). Its last wp - ow columns wrap into the next row;
-    callers crop them once."""
-    n, c = flat.shape[:2]
-    for i in range(kh):
-        for j in range(kw):
-            s = (r0 + i) * wp + j
-            yield i, j, flat[:, :, s:s + oh * wp].reshape(n, c, oh, wp)
+def _windows(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+    """Read-only (n, c, kh, kw, oh, ow) view of a padded map: [..., i, j,
+    y, x] is the pixel that tap (i, j) of output pixel (y, x) reads."""
+    sn, sc, sy, sx = xp.strides
+    return as_strided(xp, xp.shape[:2] + (kh, kw, oh, ow),
+                      (sn, sc, sy, sx, sy * sh, sx * sw), writeable=False)
 
 
 # Bytes of im2col columns filled and multiplied at a time when the columns
@@ -101,30 +94,29 @@ def _gemm_form(w: np.ndarray, n: int, c: int):
     return w.reshape(len(w), -1), (n,)
 
 
-def _im2col_gemm(taps, w, n, c, oh, ow, dtype, keep):
+def _im2col_gemm(win: np.ndarray, w: np.ndarray, keep: bool):
     """Correlation as one matmul (``_gemm_form``) over channel-major
-    columns, filled and multiplied one band of output rows at a time, where
-    ``taps(r0, rows)`` yields the taps of rows r0 .. r0+rows-1. A band's
-    product is already NCHW and lands in its rows of the output. With
-    ``keep`` one band spans the map and its columns are returned, in the
-    matmul's view, for the weight gradient; otherwise bands of about
+    columns copied from the ``_windows`` view ``win``, filled and
+    multiplied one band of output rows at a time with one copy per band.
+    A band's product is already NCHW and lands in its rows of the output.
+    With ``keep`` one band spans the map and its columns are returned, in
+    the matmul's view, for the weight gradient; otherwise bands of about
     ``_BAND_BYTES`` and a multiple of 16 columns per image share one
     buffer and None is returned. OpenBLAS kernels tile the columns by 4 to
     16, so a band's sums are the one-band product's, bit for bit."""
-    kh, kw = w.shape[-2:]
+    n, c, kh, kw, oh, ow = win.shape
     k = c * kh * kw
     wm, batch = _gemm_form(w, n, c)
-    step = 16 // np.gcd(ow, 16)
-    rows = _BAND_BYTES // (n * k * ow * np.dtype(dtype).itemsize)
+    step = 16 // math.gcd(ow, 16)
+    rows = _BAND_BYTES // (n * k * ow * win.itemsize)
     rows = oh if keep else min(oh, max(step, rows - rows % step))
-    buf = np.empty(n * k * rows * ow, dtype=dtype)
+    buf = np.empty(n * k * rows * ow, dtype=win.dtype)
     out = np.empty(batch + (wm.shape[-2], oh * ow),
-                   dtype=np.result_type(w, dtype))
+                   dtype=np.result_type(w, win.dtype))
     for r0 in range(0, oh, rows):
         r = min(rows, oh - r0)
         cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
-        for i, j, tap in taps(r0, r):
-            cols[:, :, i, j] = tap
+        cols[...] = win[..., r0:r0 + r, :]
         cols = cols.reshape(batch + (-1, r * ow))
         np.matmul(wm, cols, out=out[..., r0 * ow:(r0 + r) * ow])
     return out.reshape(n, -1, oh, ow), cols if keep else None
@@ -132,36 +124,22 @@ def _im2col_gemm(taps, w, n, c, oh, ow, dtype, keep):
 
 def _corr(x: np.ndarray, w: np.ndarray, stride, padding, keep: bool):
     """Correlation of x with w (dense (c_out, c, kh, kw) or depthwise
-    (c or 1, kh, kw)) read from one ``_flat_pad`` buffer: at stride 1 as
-    contiguous ``_flat_taps`` over wp-wide rows, else as strided ``_taps``
-    over ow-wide ones.
+    (c or 1, kh, kw)) over the ``_windows`` view of the zero-padded map,
+    ow columns per output row at every stride.
 
-    Returns (out, cols, width): the columns, in the matmul's view over rows
-    ``width`` wide, serve the weight gradient; with neither ``keep`` nor a
-    stride-1 1x1 kernel (whose columns are x itself) they are None."""
+    Returns (out, cols): the columns, in the matmul's view, serve the
+    weight gradient; with neither ``keep`` nor a stride-1 1x1 kernel
+    (whose columns are the padded map itself) they are None."""
     n, c, h, w_ = x.shape
     (sh, sw), (ph, pw) = stride, padding
     kh, kw = w.shape[-2:]
     oh, ow = _out_size(h, kh, sh, ph), _out_size(w_, kw, sw, pw)
-    flat, wp = _flat_pad(x, ph, pw, kw)
-    stride1 = (sh, sw) == (1, 1)
-    if stride1:
-        width = wp
-
-        def taps(r0, r):
-            return _flat_taps(flat, kh, kw, wp, r, r0)
-    else:
-        width, xp = ow, flat.reshape(n, c, -1, wp)
-
-        def taps(r0, r):
-            return _taps(xp, kh, kw, sh, sw, r, ow, r0)
-    if stride1 and (kh, kw) == (1, 1):
+    xp = _pad(x, ph, pw)
+    if (sh, sw, kh, kw) == (1, 1, 1, 1):
         wm, batch = _gemm_form(w, n, c)
-        cols = flat[:, :, :oh * wp].reshape(batch + (-1, oh * wp))
-        out = np.matmul(wm, cols).reshape(n, -1, oh, wp)
-    else:
-        out, cols = _im2col_gemm(taps, w, n, c, oh, width, x.dtype, keep)
-    return np.ascontiguousarray(out[:, :, :, :ow]), cols, width
+        cols = xp.reshape(batch + (-1, oh * ow))
+        return np.matmul(wm, cols).reshape(n, -1, oh, ow), cols
+    return _im2col_gemm(_windows(xp, kh, kw, sh, sw, oh, ow), w, keep)
 
 
 def _col2im(g: np.ndarray, w: np.ndarray, hp: int, wp: int, sh: int,
@@ -204,8 +182,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     inputs = [x, weight] + ([bias] if bias is not None else [])
     # the columns are kept only for a weight gradient that will be taken
     keep = grad_enabled() and any(t.requires_grad for t in inputs)
-    out_data, cols, width = _corr(x.data, w_eff, (sh, sw), (ph, pw), keep)
-    oh, ow = out_data.shape[2:]
+    out_data, cols = _corr(x.data, w_eff, (sh, sw), (ph, pw), keep)
     if bias is not None:
         out_data += bias.data
     out = Tensor(out_data)
@@ -226,13 +203,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 w_flip = np.ascontiguousarray(w_flip.transpose(1, 0, 2, 3))
             gx = _corr(g, w_flip, (1, 1), (kh - 1 - ph, kw - 1 - pw),
                        False)[0]
-        # the columns span width-wide rows: zero g over the wrapped ones
-        gz = g
-        if width != ow:
-            gz = np.zeros((n, c_out, oh, width), dtype=g.dtype)
-            gz[:, :, :, :ow] = g
-        gz = gz.reshape(cols.shape[:-2] + (-1, cols.shape[-1]))
-        gw = np.matmul(gz, np.swapaxes(cols, -1, -2))
+        gw = np.matmul(g.reshape(cols.shape[:-2] + (-1, cols.shape[-1])),
+                       np.swapaxes(cols, -1, -2))
         grads = [gx, gw.sum(axis=0).reshape(w_data.shape)]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
@@ -305,21 +277,20 @@ def pool2d(kind: str, x: Tensor, kernel=3, stride=2, padding=1) -> Tensor:
     ow = _out_size(w, kw, sw, pw)
 
     if kind == "max":
-        flat, wp = _flat_pad(x.data, ph, pw, kw, -np.inf)
-        xp = flat.reshape(n, c, -1, wp)
+        xp = _pad(x.data, ph, pw, -np.inf)
+        win = _windows(xp, kh, kw, sh, sw, oh, ow)
         best = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
-        for _, _, tap in _taps(xp, kh, kw, sh, sw, oh, ow):
-            np.maximum(best, tap, out=best)
+        for i in range(kh):
+            for j in range(kw):
+                np.maximum(best, win[:, :, i, j], out=best)
         out = Tensor(best)
 
         def bwd(g):
             # each window routes to its first row-major maximum, then closes
             gp = np.zeros_like(xp)
             open_ = np.ones(best.shape, dtype=bool)
-            for (_, _, tap), (_, _, gtap) in zip(
-                    _taps(xp, kh, kw, sh, sw, oh, ow),
-                    _taps(gp, kh, kw, sh, sw, oh, ow)):
-                hit = open_ & (tap == best)
+            for i, j, gtap in _taps(gp, kh, kw, sh, sw, oh, ow):
+                hit = open_ & (win[:, :, i, j] == best)
                 gtap += np.where(hit, g, 0.0)
                 open_ &= ~hit
             return (np.ascontiguousarray(gp[:, :, ph:ph + h, pw:pw + w]),)

@@ -9,14 +9,16 @@ than through a library call so an independent brute-force implementation
 can reproduce the value bit for bit.
 
 Nearest boundary distances come from one matrix of squared distances,
-d2 = |p|^2 - 2 p.q + |q|^2, made by a float64 GEMM of [y, x, 1, |p|^2]
-against [-2y', -2x', |q|^2, 1] one band of rows at a time; each band gives
-its rows' minima and lowers a running column minimum, so both directed sets
-come from one pass. Every product and partial sum is an integer far below
-2^53, so d2 is exact and its square root is the value an all-pairs
-brute force or a kd-tree gives. Above KD_TREE_PAIRS point pairs the matrix
-costs more than two kd-tree queries do (two noisy masks, or two long
-nearby contours), and cKDTree takes over.
+d2 = |p|^2 - 2 p.q + |q|^2, made by a GEMM of [y, x, 1, |p|^2] against
+[-2y', -2x', |q|^2, 1] one band of rows at a time; each band gives its
+rows' minima and lowers a running column minimum, so both directed sets
+come from one pass. On masks of side s every product and partial sum is
+an integer of magnitude at most 8 (s-1)^2. Up to s = F32_SIDE that is
+below 2^24, so the GEMM runs in float32, and above it in float64 (exact
+below 2^53); either way d2 is exact and its square root is the value an
+all-pairs brute force or a kd-tree gives. Above KD_TREE_PAIRS point pairs
+the matrix costs more than two kd-tree queries do (two noisy masks, or two
+long nearby contours), and cKDTree takes over.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from scipy.spatial import cKDTree
 from .autodiff import Tensor, no_grad
 from .model import IN_FRAMES
 
-KD_TREE_PAIRS = 1 << 21  # hd95 uses kd-trees above this many point pairs
-GEMM_BAND = 1 << 16      # entries of the distance matrix filled at a time
+KD_TREE_PAIRS = 1 << 21   # hd95 uses kd-trees above this many point pairs
+GEMM_BAND_BYTES = 1 << 19  # bytes of the distance matrix filled at a time
+F32_SIDE = 1449            # largest mask side with 8 (s-1)^2 < 2^24
 
 
 def region_masks(label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,22 +98,24 @@ def percentile_95(values: np.ndarray) -> float:
     return float(d[lo] + (d[hi] - d[lo]) * (pos - lo))
 
 
-def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray):
+def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray, dtype):
     """Squared distance from each point of pa to its nearest in pb, and from
-    each point of pb to its nearest in pa, from d2 = |p|^2 - 2 p.q + |q|^2
-    filled one band of about GEMM_BAND entries at a time."""
+    each point of pb to its nearest in pa, as float64, from d2 = |p|^2 -
+    2 p.q + |q|^2 in ``dtype``, filled one band of about GEMM_BAND_BYTES
+    at a time."""
     lhs = np.column_stack([pa, np.ones(len(pa)), (pa * pa).sum(axis=1)])
     rhs = np.vstack([-2.0 * pb.T, (pb * pb).sum(axis=1), np.ones(len(pb))])
-    rows = max(1, GEMM_BAND // len(pb))
-    band = np.empty((min(rows, len(pa)), len(pb)))
-    d2_ab = np.empty(len(pa))
-    d2_ba = np.full(len(pb), np.inf)
+    lhs, rhs = lhs.astype(dtype), rhs.astype(dtype)
+    rows = max(1, GEMM_BAND_BYTES // (len(pb) * lhs.itemsize))
+    band = np.empty((min(rows, len(pa)), len(pb)), dtype=dtype)
+    d2_ab = np.empty(len(pa), dtype=dtype)
+    d2_ba = np.full(len(pb), np.inf, dtype=dtype)
     for i in range(0, len(pa), rows):
         part = lhs[i:i + rows]
         d2 = np.matmul(part, rhs, out=band[:len(part)])
         d2.min(axis=1, out=d2_ab[i:i + rows])
         np.minimum(d2_ba, d2.min(axis=0), out=d2_ba)
-    return d2_ab, d2_ba
+    return d2_ab.astype(np.float64), d2_ba.astype(np.float64)
 
 
 def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
@@ -124,7 +129,8 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
         d_ab = cKDTree(pb).query(pa)[0]
         d_ba = cKDTree(pa).query(pb)[0]
     else:
-        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb))
+        dtype = np.float32 if max(a.shape) <= F32_SIDE else np.float64
+        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb, dtype))
     return percentile_95(np.concatenate([d_ab, d_ba])) * spacing_mm
 
 
@@ -181,7 +187,8 @@ def label_map(logits: np.ndarray) -> np.ndarray:
     label = np.zeros(best.shape, dtype=np.uint8)
     for k in range(1, len(logits)):
         np.copyto(label, k, where=logits[k] > best)
-        best = np.maximum(best, logits[k])
+        if k + 1 < len(logits):
+            best = np.maximum(best, logits[k])
     return label
 
 

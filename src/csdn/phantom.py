@@ -367,7 +367,8 @@ def save_dataset(root: str, train: list[Sample], val: list[Sample],
         raise ValueError("train and val sample ids overlap")
     for s in train + val:
         save_sample(root, s)
-    with open(os.path.join(root, "manifest.txt"), "w") as fh:
+    with open(os.path.join(root, "manifest.txt"), "w",
+              encoding="utf-8") as fh:
         fh.write(f"csdn-dataset v1 spacing={spacing_mm} size={size}\n")
         for sid in train_ids:
             fh.write(f"{sid} train\n")
@@ -379,8 +380,15 @@ def load_manifest(root: str) -> DatasetManifest:
     path = os.path.join(root, "manifest.txt")
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing manifest {path}")
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines()
+    lines = []
+    for i, ln in enumerate(raw, start=1):
+        try:
+            lines.append(ln.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}:{i}: not UTF-8 text: {e.reason} at "
+                             f"byte {e.start + 1} of the line") from None
     if not lines:
         raise ValueError(f"{path}: empty manifest")
     head = lines[0].split()

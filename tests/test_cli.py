@@ -350,6 +350,22 @@ def test_train_missing_data(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_train_manifest_not_utf8(tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main(["gen-data", "--out", str(root), "--n-train", "2",
+                 "--n-val", "1", "--size", "64"]) == 0
+    mpath = root / "manifest.txt"
+    mpath.write_bytes(mpath.read_bytes().replace(b"train0001",
+                                                 b"train\xe3001"))
+    capsys.readouterr()
+    rc = main(["train", "--data", str(root), "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mpath}:3: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_train_resume_missing_checkpoint(ds64, tmp_path, capsys):
     config, before = prior_run_config(tmp_path / "o")
     rc = main(["train", "--data", str(ds64), "--out", str(tmp_path / "o"),

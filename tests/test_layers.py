@@ -240,33 +240,30 @@ def test_col2im_input_gradient_matches_dilated_canvas(depthwise):
             assert np.abs(x.grad - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def np_pad_columns(x, kh, kw, padding, stride, width=None):
-    """(n, c, kh, kw, oh, width) im2col columns of x: np.pad, then one
-    strided tap of the padded map per kernel offset in the first ow columns
-    of each row, zeros in the rest (width defaults to ow)."""
+def np_pad_columns(x, kh, kw, padding, stride):
+    """(n, c, kh, kw, oh, ow) im2col columns of x: np.pad, then one strided
+    tap of the padded map per kernel offset."""
     p, s = padding, stride
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     oh = (xp.shape[2] - kh) // s + 1
     ow = (xp.shape[3] - kw) // s + 1
-    cols = np.zeros(x.shape[:2] + (kh, kw, oh, width or ow), dtype=x.dtype)
+    cols = np.zeros(x.shape[:2] + (kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j, :, :ow] = xp[:, :, i:i + s * oh:s,
-                                          j:j + s * ow:s]
+            cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
     return cols, ow
 
 
 def strided_depthwise(x, w, padding, stride=1):
-    """Each channel's (1, k*k) weight row times its (k*k, oh*width)
-    columns. At stride 1 the rows are as wide as the padded map, as the
-    flat tap reader lays them out: OpenBLAS's float64 gemv rounds the last
-    few columns of a product its own way, so the widths must agree."""
+    """Each channel's (1, k*k) weight row times its (k*k, oh*ow) columns,
+    laid out ow wide as conv2d lays them at every stride: OpenBLAS's
+    float64 gemv rounds the last few columns of a product its own way, so
+    the widths must agree."""
     n, c = x.shape[:2]
-    width = x.shape[3] + 2 * padding if stride == 1 else None
-    cols, ow = np_pad_columns(x, *w.shape[2:], padding, stride, width)
-    oh, width = cols.shape[4:]
-    y = np.matmul(w.reshape(c, 1, -1), cols.reshape(n, c, -1, oh * width))
-    return y.reshape(n, c, oh, width)[:, :, :, :ow]
+    cols, ow = np_pad_columns(x, *w.shape[2:], padding, stride)
+    oh = cols.shape[4]
+    y = np.matmul(w.reshape(c, 1, -1), cols.reshape(n, c, -1, oh * ow))
+    return y.reshape(n, c, oh, ow)
 
 
 def test_flat_depthwise_is_bit_identical_to_strided_taps():
@@ -420,7 +417,7 @@ def test_strided_conv_and_pools_match_np_pad_oracle(dtype):
 
 
 # (input shape, kernel, padding) per stride, each with 17 or 18 output
-# rows; the stride-1 cases have 2 to 4 wrap columns
+# rows
 BANDED = {1: [((2, 3, 17, 10), 3, 1), ((3, 2, 18, 14), 5, 2),
               ((2, 4, 19, 9), 3, 0)],
           2: [((2, 3, 33, 15), 3, 1), ((3, 2, 35, 20), 5, 2),
@@ -428,19 +425,20 @@ BANDED = {1: [((2, 3, 17, 10), 3, 1), ((3, 2, 18, 14), 5, 2),
 
 
 def band_rows(monkeypatch):
-    """Make the tap helpers log each band's row count into the returned
-    list."""
+    """Make every ``_windows`` view log into the returned list the row
+    count of each band that ``_im2col_gemm`` copies out of it."""
     rows = []
 
-    def spy(taps):
-        def logged(*args):
-            views = list(taps(*args))
-            rows.append(views[0][2].shape[2])
-            return views
-        return logged
+    class Logged(np.ndarray):
+        def __getitem__(self, key):
+            part = super().__getitem__(key)
+            if isinstance(key, tuple) and key[0] is Ellipsis:
+                rows.append(part.shape[-2])
+            return part
 
-    for name in ("_taps", "_flat_taps"):
-        monkeypatch.setattr(layers, name, spy(getattr(layers, name)))
+    windows = layers._windows
+    monkeypatch.setattr(layers, "_windows",
+                        lambda *args: windows(*args).view(Logged))
     return rows
 
 

@@ -185,18 +185,48 @@ def hd95_cases():
 
 
 @pytest.mark.parametrize("pair_limit, band", [
-    pytest.param(1 << 62, metrics.GEMM_BAND, id="gemm"),
+    pytest.param(1 << 62, metrics.GEMM_BAND_BYTES, id="gemm"),
     pytest.param(1 << 62, 1, id="gemm-one-row-bands"),
-    pytest.param(0, metrics.GEMM_BAND, id="kd-tree"),
+    pytest.param(0, metrics.GEMM_BAND_BYTES, id="kd-tree"),
 ])
 def test_hd95_matches_brute_force_exactly(monkeypatch, pair_limit, band):
     monkeypatch.setattr(metrics, "KD_TREE_PAIRS", pair_limit)
-    monkeypatch.setattr(metrics, "GEMM_BAND", band)
+    monkeypatch.setattr(metrics, "GEMM_BAND_BYTES", band)
     for i, (a, b) in enumerate(hd95_cases()):
         got = hd95(a, b, 0.02)
         want = brute_hd95(a, b, 0.02)
         assert got == want, (i, a.shape)
         assert hd95(b, a, 0.02) == got  # pooling makes it symmetric
+
+
+def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
+    # single pixels in the corners give the largest d2 (corner to corner)
+    # and the largest partial sums (far corner against far corner)
+    dtypes = []
+    gemm = metrics._nearest_sq_gemm
+
+    def spy(pa, pb, dtype):
+        dtypes.append(dtype)
+        got = gemm(pa, pb, dtype)
+        for want, d2 in zip(gemm(pa, pb, np.float64), got):
+            assert d2.dtype == np.float64 and np.array_equal(d2, want)
+        return got
+
+    monkeypatch.setattr(metrics, "_nearest_sq_gemm", spy)
+    for side in (metrics.F32_SIDE, metrics.F32_SIDE + 1):
+        e = side - 1
+        pa = np.array([(0, 0), (0, 1), (e, e)], dtype=np.float64)
+        pb = np.array([(0, e), (e - 1, e), (e, 0), (e, e)], dtype=np.float64)
+        masks = []
+        for pts in (pa, pb):
+            m = np.zeros((side, side), dtype=bool)
+            m[tuple(pts.T.astype(int))] = True
+            masks.append(m)
+        d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+        want = percentile_95(np.concatenate(
+            [np.sqrt(d2.min(axis=1)), np.sqrt(d2.min(axis=0))])) * 0.02
+        assert hd95(*masks, 0.02) == want
+    assert dtypes == [np.float32, np.float64]
 
 
 def test_hd95_takes_kd_trees_only_above_the_pair_limit(monkeypatch):
@@ -332,7 +362,15 @@ def test_predict_and_evaluate_leave_the_frames_alone():
 
 
 @pytest.mark.parametrize("classes", [1, 2, 3, 5])
-def test_label_map_matches_argmax_with_planted_ties(classes):
+def test_label_map_matches_argmax_with_planted_ties(monkeypatch, classes):
+    maxima = []
+    maximum = np.maximum
+
+    def counted(*args, **kwargs):
+        maxima.append(1)
+        return maximum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "maximum", counted)
     rng = np.random.Generator(np.random.PCG64(classes))
     logits = rng.normal(size=(classes, 12, 16)).astype(np.float32)
     pairs = [(a, b) for a in range(classes) for b in range(a + 1, classes)]
@@ -344,6 +382,7 @@ def test_label_map_matches_argmax_with_planted_ties(classes):
         logits[[a, b], i, 1] = -1.0
     logits[:, -1, -1] = 0.5  # every class equal
     got = label_map(logits)
+    assert len(maxima) == max(0, classes - 2)  # none after the last class
     assert got.dtype == np.uint8
     assert np.array_equal(got, logits.argmax(axis=0))
     for i, (a, _b) in enumerate(pairs):

@@ -255,6 +255,78 @@ def test_manifest_errors(tmp_path, capsys):
     assert err.startswith(f"error: {mpath}:1: ") and err.count("\n") == 1
 
 
+def test_manifest_that_is_not_utf8_names_its_line(tmp_path):
+    root = str(tmp_path / "ds")
+    generate_dataset(root, 2, 1, 64, seed=7)
+    mpath = os.path.join(root, "manifest.txt")
+    with open(mpath, "rb") as fh:
+        text = fh.read()
+    with open(mpath, "wb") as fh:
+        fh.write(text.replace(b"train0001", b"train\xe3001"))
+    with pytest.raises(ValueError) as err:
+        load_manifest(root)
+    assert str(err.value) == (f"{mpath}:3: not UTF-8 text: invalid "
+                              "continuation byte at byte 6 of the line")
+
+
+def fuzzed(blob: bytes, rng: np.random.Generator, flips: int):
+    """Every truncation of blob, every bit flip of its first 16 bytes, and
+    ``flips`` seeded bit flips among the rest."""
+    for n in range(len(blob)):
+        yield blob[:n]
+    head = min(16, len(blob)) * 8
+    bits = np.arange(head)
+    if len(blob) * 8 > head:
+        rest = np.arange(head, len(blob) * 8)
+        bits = np.concatenate(
+            [bits, rng.choice(rest, min(flips, len(rest)), replace=False)])
+    for bit in bits:
+        bad = bytearray(blob)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(bad)
+
+
+def test_fuzzed_pgm_loads_or_names_its_file(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(31))
+    path = str(tmp_path / "f.pgm")
+    write_pgm(path, rng.integers(0, 256, size=(5, 7), dtype=np.uint8))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    outcomes = {"loads": 0, "error": 0}
+    for case in fuzzed(blob, rng, 64):
+        with open(path, "wb") as fh:
+            fh.write(case)
+        try:
+            read_pgm(path)
+            outcomes["loads"] += 1
+        except ValueError as e:
+            assert str(e).startswith(f"{path}: "), (case, str(e))
+            outcomes["error"] += 1
+    assert min(outcomes.values()) > 0
+
+
+def test_fuzzed_manifest_loads_or_names_its_file(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(32))
+    root = str(tmp_path / "ds")
+    generate_dataset(root, 2, 2, 64, seed=8)
+    mpath = os.path.join(root, "manifest.txt")
+    with open(mpath, "rb") as fh:
+        blob = fh.read()
+    outcomes = {"loads": 0, "error": 0}
+    for case in fuzzed(blob, rng, 400):
+        with open(mpath, "wb") as fh:
+            fh.write(case)
+        try:
+            Dataset.open(root)
+            outcomes["loads"] += 1
+        except (ValueError, FileNotFoundError) as e:
+            # the manifest, or the sample file or directory it points at
+            assert str(e).startswith(f"{mpath}:") or (
+                f"{root}{os.sep}" in str(e)), (case, str(e))
+            outcomes["error"] += 1
+    assert min(outcomes.values()) > 0
+
+
 def test_save_dataset_rejects_id_overlap(tmp_path):
     s = generate_phantom(1, 64, sample_id="dup")
     with pytest.raises(ValueError, match="overlap"):
