@@ -305,12 +305,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def zero_grad(self):
         for t in self._params.values():
             t.grad = None
@@ -324,6 +318,8 @@ class Module:
     list attribute, named ``<attr>.<index>``. A module's own tensors come
     before its children's, each in attribute order.
     """
+
+    dtype = np.float32  # what every module builds in; ``astype`` casts
 
     def __init__(self):
         self.training = True
@@ -353,6 +349,17 @@ class Module:
 
     def parameter_store(self) -> ParameterStore:
         return ParameterStore(self.named_parameters())
+
+    def astype(self, dtype) -> "Module":
+        """Cast the tensors of this module and of every child to ``dtype``,
+        f32 or f64, in place (the same tensors); returns the module."""
+        for v in vars(self).values():
+            if isinstance(v, Tensor):
+                v.data = Tensor(v.data, dtype=dtype).data  # checks the dtype
+        for _, child in self._named_children():
+            child.astype(dtype)
+        self.dtype = np.dtype(dtype).type
+        return self
 
     def train(self, flag: bool = True):
         self.training = flag

@@ -270,19 +270,19 @@ def check_blocks(tol: float = 1e-4, seed: int = 0) -> list[CheckResult]:
 
     crng = _rng(seed + 10)
     x8 = _t(rng, 2, 4, 8, 8)
-    ge1 = GELayerS1(4, 2, crng, np.float64)
+    ge1 = GELayerS1(4, 2, crng).astype(np.float64)
     probe("ge-stride1", ge1, lambda: reduce_sum(ge1(x8)))
-    ge2 = GELayerS2(4, 6, 2, crng, np.float64)
+    ge2 = GELayerS2(4, 6, 2, crng).astype(np.float64)
     probe("ge-stride2", ge2, lambda: reduce_sum(ge2(x8)))
-    stem = StemBlock(4, 4, crng, np.float64)
+    stem = StemBlock(4, 4, crng).astype(np.float64)
     probe("stem-block", stem, lambda: reduce_sum(stem(x8)))
-    ctx = ContextBlock(4, crng, np.float64)
+    ctx = ContextBlock(4, crng).astype(np.float64)
     probe("context-block", ctx, lambda: reduce_sum(ctx(x8)))
-    fus = FusionBlock(4, crng, np.float64)
+    fus = FusionBlock(4, crng).astype(np.float64)
     det = _t(rng, 2, 4, 8, 8)
     sem = _t(rng, 2, 4, 2, 2)
     probe("fusion-block", fus, lambda: reduce_sum(fus(det, sem)))
-    head = SegHead(4, 4, 3, crng, np.float64)
+    head = SegHead(4, 4, 3, crng).astype(np.float64)
     probe("seg-head", head, lambda: reduce_sum(head(x8, (16, 16))))
     return results
 

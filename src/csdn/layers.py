@@ -470,11 +470,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
 
     With ``stats=None`` it normalises by the batch's own mean and biased
     variance (training); with ``stats=(mean, var)``, each (1, c, 1, 1), by
-    those frozen values (eval). The node keeps only xhat. The backward
-    recomputes y = gamma * xhat + beta for the PReLU's slope and alpha
-    gradient, so the activation is never inverted and alpha may be 0, and
-    it never writes over the incoming gradient, which ``add`` hands to
-    both of its inputs."""
+    those frozen values (eval). One forward body serves every case: a
+    centred copy of x is scaled in place into xhat; in training its squares
+    buffer, summed with ``np.var``'s float steps for the variance, then
+    holds the output; the PReLU, when given, runs in place on it. The node
+    keeps only xhat. The backward recomputes y = gamma * xhat + beta for
+    the PReLU's slope and alpha gradient, so the activation is never
+    inverted and alpha may be 0, and it never writes over the incoming
+    gradient, which ``add`` hands to both of its inputs."""
     n, c, h, w = x.shape
     if alpha is not None and alpha.shape != (1, c, 1, 1):
         raise ValueError(f"alpha shape {alpha.shape} != (1,{c},1,1)")
@@ -488,28 +491,16 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
         mean, var = stats
     g_data, b_data = gamma.data, beta.data
     a_data = None if alpha is None else alpha.data
-    if alpha is None:
-        # The plain expressions, temporaries and all. Run in place like the
-        # branch below, they left the heap of a desk training step growing
-        # after warm-up several times as often over interpreter hash seeds
-        # (the page-fault probe in tests/test_train.py).
-        if train:
-            var = x.data.var(axis=(0, 2, 3), keepdims=True)  # biased
-        invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean) * invstd
-        y = g_data * xhat + b_data
-    else:
-        # in place over the centred map and, in training, its squares,
-        # summed with np.var's float steps for the batch variance
-        xhat = x.data - mean
-        y = None
-        if train:
-            y = np.multiply(xhat, xhat)
-            var = y.sum(axis=(0, 2, 3), keepdims=True) / m
-        invstd = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= invstd
-        y = np.multiply(xhat, g_data, out=y)
-        y += b_data
+    xhat = x.data - mean
+    y = None
+    if train:
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=(0, 2, 3), keepdims=True) / m
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= invstd
+    y = np.multiply(xhat, g_data, out=y)
+    y += b_data
+    if alpha is not None:
         _prelu(y, a_data, out=y)
     out = Tensor(y)
 
@@ -545,15 +536,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
 # -- layer modules ------------------------------------------------------------
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel=3,
                  stride=1, padding=0, groups: int = 1, bias: bool = True,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
+                 rng: np.random.Generator | None = None):
         super().__init__()
         kh, kw = _pair(kernel)
         if groups != 1 and not in_channels == out_channels == groups:
@@ -565,11 +556,11 @@ class Conv2d(Module):
         fan_in = (in_channels // groups) * kh * kw
         shape = (out_channels, in_channels // groups, kh, kw)
         rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(he_uniform(rng, shape, fan_in, dtype),
+        self.weight = Tensor(he_uniform(rng, shape, fan_in),
                              requires_grad=True)
         if bias:
-            self.bias = Tensor(np.zeros((1, out_channels, 1, 1), dtype=dtype),
-                               requires_grad=True)
+            self.bias = Tensor.zeros((1, out_channels, 1, 1),
+                                     requires_grad=True)
         else:
             self.bias = None
 
@@ -579,14 +570,13 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int):
         super().__init__()
-        self.gamma = Tensor(np.ones((1, channels, 1, 1), dtype=dtype),
-                            requires_grad=True)
-        self.beta = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype),
-                           requires_grad=True)
-        self.running_mean = Tensor(np.zeros((1, channels, 1, 1), dtype=dtype))
-        self.running_var = Tensor(np.ones((1, channels, 1, 1), dtype=dtype))
+        shape = (1, channels, 1, 1)
+        self.gamma = Tensor.ones(shape, requires_grad=True)
+        self.beta = Tensor.zeros(shape, requires_grad=True)
+        self.running_mean = Tensor.zeros(shape)
+        self.running_var = Tensor.ones(shape)
 
     def __call__(self, x: Tensor, alpha: Tensor | None = None) -> Tensor:
         """Batch norm, then PReLU with slope ``alpha`` when one is given."""
@@ -623,10 +613,10 @@ class BatchNorm2d(Module):
 
 
 class PReLU(Module):
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int):
         super().__init__()
         self.alpha = Tensor(np.full((1, channels, 1, 1), PRELU_INIT,
-                                    dtype=dtype), requires_grad=True)
+                                    dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return prelu(x, self.alpha)

@@ -13,6 +13,7 @@ whole-batch pass per head (2-core Xeon, 1 BLAS thread).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class LossConfig:
     aux_weight: float = 0.4
 
     def __post_init__(self):
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be >= 0")
+        for key in ("focal_gamma", "aux_weight"):
+            value = getattr(self, key)
+            if not (value >= 0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError(f"{key} must be finite and >= 0")
 
 
 class _Labels:

@@ -13,12 +13,12 @@ d2 = |p|^2 - 2 p.q + |q|^2, made by a GEMM of [y, x, 1, |p|^2] against
 [-2y', -2x', |q|^2, 1] one band of rows at a time; each band gives its
 rows' minima and lowers a running column minimum, so both directed sets
 come from one pass. On masks of side s every product and partial sum is
-an integer of magnitude at most 8 (s-1)^2. Up to s = F32_SIDE that is
-below 2^24, so the GEMM runs in float32, and above it in float64 (exact
-below 2^53); either way d2 is exact and its square root is the value an
-all-pairs brute force or a kd-tree gives. Above KD_TREE_PAIRS point pairs
-the matrix costs more than two kd-tree queries do (two noisy masks, or two
-long nearby contours), and cKDTree takes over.
+an integer of magnitude at most 8 (s-1)^2, below 2^24 up to s = F32_SIDE,
+so the GEMM runs in float32, d2 is exact and its square root is the value
+an all-pairs brute force or a kd-tree gives. cKDTree takes over on larger
+masks, and above KD_TREE_PAIRS point pairs, where the matrix costs more
+than two kd-tree queries do (two noisy masks, or two long nearby
+contours).
 """
 
 from __future__ import annotations
@@ -98,18 +98,18 @@ def percentile_95(values: np.ndarray) -> float:
     return float(d[lo] + (d[hi] - d[lo]) * (pos - lo))
 
 
-def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray, dtype):
+def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray):
     """Squared distance from each point of pa to its nearest in pb, and from
     each point of pb to its nearest in pa, as float64, from d2 = |p|^2 -
-    2 p.q + |q|^2 in ``dtype``, filled one band of about GEMM_BAND_BYTES
-    at a time."""
+    2 p.q + |q|^2 in float32, filled one band of about GEMM_BAND_BYTES at
+    a time."""
     lhs = np.column_stack([pa, np.ones(len(pa)), (pa * pa).sum(axis=1)])
     rhs = np.vstack([-2.0 * pb.T, (pb * pb).sum(axis=1), np.ones(len(pb))])
-    lhs, rhs = lhs.astype(dtype), rhs.astype(dtype)
+    lhs, rhs = lhs.astype(np.float32), rhs.astype(np.float32)
     rows = max(1, GEMM_BAND_BYTES // (len(pb) * lhs.itemsize))
-    band = np.empty((min(rows, len(pa)), len(pb)), dtype=dtype)
-    d2_ab = np.empty(len(pa), dtype=dtype)
-    d2_ba = np.full(len(pb), np.inf, dtype=dtype)
+    band = np.empty((min(rows, len(pa)), len(pb)), dtype=np.float32)
+    d2_ab = np.empty(len(pa), dtype=np.float32)
+    d2_ba = np.full(len(pb), np.inf, dtype=np.float32)
     for i in range(0, len(pa), rows):
         part = lhs[i:i + rows]
         d2 = np.matmul(part, rhs, out=band[:len(part)])
@@ -125,12 +125,11 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
         raise ValueError("hd95 is undefined for an empty mask")
     pa = boundary_pixels(a).astype(np.float64)
     pb = boundary_pixels(b).astype(np.float64)
-    if len(pa) * len(pb) > KD_TREE_PAIRS:
+    if len(pa) * len(pb) > KD_TREE_PAIRS or max(a.shape) > F32_SIDE:
         d_ab = cKDTree(pb).query(pa)[0]
         d_ba = cKDTree(pa).query(pb)[0]
     else:
-        dtype = np.float32 if max(a.shape) <= F32_SIDE else np.float64
-        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb, dtype))
+        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb))
     return percentile_95(np.concatenate([d_ab, d_ba])) * spacing_mm
 
 

@@ -7,6 +7,10 @@ bottleneck stages, global-context tail) that trades resolution for
 receptive field. A bidirectional gated fusion block merges them and a
 sub-pixel head restores full resolution. Training mode adds four
 auxiliary heads on the deep branch's intermediate taps.
+
+Blocks build in float32 from the one seeded generator; ``CSDN`` casts the
+tree once (``Module.astype``), so a float64 net starts from the float32
+init, widened exactly.
 """
 
 from __future__ import annotations
@@ -100,12 +104,12 @@ class ConvBNAct(Module):
     """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, groups=1, act=True,
-                 rng=None, dtype=np.float32):
+                 rng=None):
         super().__init__()
         self.conv = Conv2d(in_c, out_c, kernel, stride, kernel // 2, groups,
-                           bias=False, rng=rng, dtype=dtype)
-        self.bn = BatchNorm2d(out_c, dtype=dtype)
-        self.act = PReLU(out_c, dtype=dtype) if act else None
+                           bias=False, rng=rng)
+        self.bn = BatchNorm2d(out_c)
+        self.act = PReLU(out_c) if act else None
 
     def __call__(self, x):
         if self.training or grad_enabled():
@@ -125,23 +129,23 @@ class ShallowBlock(Module):
     """One detail-branch block: stride-2 entry conv plus two stride-1 convs,
     all conv+BN+PReLU."""
 
-    def __init__(self, in_c, out_c, rng, dtype):
+    def __init__(self, in_c, out_c, rng):
         super().__init__()
-        self.down = ConvBNAct(in_c, out_c, 3, 2, rng=rng, dtype=dtype)
-        self.c1 = ConvBNAct(out_c, out_c, 3, 1, rng=rng, dtype=dtype)
-        self.c2 = ConvBNAct(out_c, out_c, 3, 1, rng=rng, dtype=dtype)
+        self.down = ConvBNAct(in_c, out_c, 3, 2, rng=rng)
+        self.c1 = ConvBNAct(out_c, out_c, 3, 1, rng=rng)
+        self.c2 = ConvBNAct(out_c, out_c, 3, 1, rng=rng)
 
     def __call__(self, x):
         return self.c2(self.c1(self.down(x)))
 
 
 class ShallowNet(Module):
-    def __init__(self, in_c, channels, rng, dtype):
+    def __init__(self, in_c, channels, rng):
         super().__init__()
         blocks = []
         prev = in_c
         for c in channels:
-            blocks.append(ShallowBlock(prev, c, rng, dtype))
+            blocks.append(ShallowBlock(prev, c, rng))
             prev = c
         self.blocks = blocks
 
@@ -155,14 +159,13 @@ class StemBlock(Module):
     """Entry of the deep branch: stride-2 conv, then a half-width conv path
     and a max-pool path in parallel, concatenated and fused. Spatial /4."""
 
-    def __init__(self, in_c, stem_c, rng, dtype):
+    def __init__(self, in_c, stem_c, rng):
         super().__init__()
         half = stem_c // 2
-        self.entry = ConvBNAct(in_c, stem_c, 3, 2, rng=rng, dtype=dtype)
-        self.a1 = ConvBNAct(stem_c, half, 1, 1, rng=rng, dtype=dtype)
-        self.a2 = ConvBNAct(half, half, 3, 2, rng=rng, dtype=dtype)
-        self.fuse = ConvBNAct(stem_c + half, stem_c, 3, 1, rng=rng,
-                              dtype=dtype)
+        self.entry = ConvBNAct(in_c, stem_c, 3, 2, rng=rng)
+        self.a1 = ConvBNAct(stem_c, half, 1, 1, rng=rng)
+        self.a2 = ConvBNAct(half, half, 3, 2, rng=rng)
+        self.fuse = ConvBNAct(stem_c + half, stem_c, 3, 1, rng=rng)
 
     def __call__(self, x):
         x = self.entry(x)
@@ -175,14 +178,13 @@ class GELayerS1(Module):
     """Stride-1 inverted bottleneck: expand 3x3 -> depthwise 3x3 -> project
     1x1, residual onto the input, PReLU after the sum."""
 
-    def __init__(self, c, expansion, rng, dtype):
+    def __init__(self, c, expansion, rng):
         super().__init__()
         e = c * expansion
-        self.expand = ConvBNAct(c, e, 3, 1, rng=rng, dtype=dtype)
-        self.dw = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng,
-                            dtype=dtype)
-        self.proj = ConvBNAct(e, c, 1, 1, act=False, rng=rng, dtype=dtype)
-        self.act = PReLU(c, dtype=dtype)
+        self.expand = ConvBNAct(c, e, 3, 1, rng=rng)
+        self.dw = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng)
+        self.proj = ConvBNAct(e, c, 1, 1, act=False, rng=rng)
+        self.act = PReLU(c)
 
     def __call__(self, x):
         return self.act(add(x, self.proj(self.dw(self.expand(x)))))
@@ -192,20 +194,17 @@ class GELayerS2(Module):
     """Stride-2 inverted bottleneck with a depthwise shortcut; halves the
     spatial size and may change width."""
 
-    def __init__(self, c_in, c_out, expansion, rng, dtype):
+    def __init__(self, c_in, c_out, expansion, rng):
         super().__init__()
         e = c_in * expansion
-        self.expand = ConvBNAct(c_in, e, 3, 1, rng=rng, dtype=dtype)
-        self.dw1 = ConvBNAct(e, e, 3, 2, groups=e, act=False, rng=rng,
-                             dtype=dtype)
-        self.dw2 = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng,
-                             dtype=dtype)
-        self.proj = ConvBNAct(e, c_out, 1, 1, act=False, rng=rng, dtype=dtype)
+        self.expand = ConvBNAct(c_in, e, 3, 1, rng=rng)
+        self.dw1 = ConvBNAct(e, e, 3, 2, groups=e, act=False, rng=rng)
+        self.dw2 = ConvBNAct(e, e, 3, 1, groups=e, act=False, rng=rng)
+        self.proj = ConvBNAct(e, c_out, 1, 1, act=False, rng=rng)
         self.short_dw = ConvBNAct(c_in, c_in, 3, 2, groups=c_in, act=False,
-                                  rng=rng, dtype=dtype)
-        self.short_proj = ConvBNAct(c_in, c_out, 1, 1, act=False, rng=rng,
-                                    dtype=dtype)
-        self.act = PReLU(c_out, dtype=dtype)
+                                  rng=rng)
+        self.short_proj = ConvBNAct(c_in, c_out, 1, 1, act=False, rng=rng)
+        self.act = PReLU(c_out)
 
     def __call__(self, x):
         main = self.proj(self.dw2(self.dw1(self.expand(x))))
@@ -217,11 +216,11 @@ class ContextBlock(Module):
     """Global-context tail: normalized global average broadcast back onto
     the map, then a 3x3 refinement. Every output pixel sees every input."""
 
-    def __init__(self, c, rng, dtype):
+    def __init__(self, c, rng):
         super().__init__()
-        self.gap_bn = BatchNorm2d(c, dtype=dtype)
-        self.point = ConvBNAct(c, c, 1, 1, rng=rng, dtype=dtype)
-        self.refine = ConvBNAct(c, c, 3, 1, rng=rng, dtype=dtype)
+        self.gap_bn = BatchNorm2d(c)
+        self.point = ConvBNAct(c, c, 1, 1, rng=rng)
+        self.refine = ConvBNAct(c, c, 3, 1, rng=rng)
 
     def __call__(self, x):
         g = self.point(self.gap_bn(global_avg_pool(x)))
@@ -229,21 +228,21 @@ class ContextBlock(Module):
 
 
 class DeepNet(Module):
-    def __init__(self, in_c, cfg: NetworkConfig, rng, dtype):
+    def __init__(self, in_c, cfg: NetworkConfig, rng):
         super().__init__()
         s3, s4, s5 = cfg.ge_stage_channels
         e = cfg.ge_expansion
-        self.stem = StemBlock(in_c, cfg.stem_channels, rng, dtype)
+        self.stem = StemBlock(in_c, cfg.stem_channels, rng)
 
         def stage(c_in, c_out, layers):
-            mods = [GELayerS2(c_in, c_out, e, rng, dtype)]
-            mods += [GELayerS1(c_out, e, rng, dtype) for _ in range(layers - 1)]
+            mods = [GELayerS2(c_in, c_out, e, rng)]
+            mods += [GELayerS1(c_out, e, rng) for _ in range(layers - 1)]
             return mods
 
         self.stage3 = stage(cfg.stem_channels, s3, cfg.ge_layers[0])
         self.stage4 = stage(s3, s4, cfg.ge_layers[1])
         self.stage5 = stage(s4, s5, cfg.ge_layers[2])
-        self.context = ContextBlock(s5, rng, dtype)
+        self.context = ContextBlock(s5, rng)
 
     def __call__(self, x):
         taps = [self.stem(x)]
@@ -260,17 +259,15 @@ class FusionBlock(Module):
     (/32). Each stream gates the other through a sigmoid; the compressed
     product is resampled back to detail resolution and the sum refined."""
 
-    def __init__(self, c, rng, dtype):
+    def __init__(self, c, rng):
         super().__init__()
-        self.d_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng,
-                              dtype=dtype)
-        self.d_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng, dtype=dtype)
-        self.d_down = ConvBNAct(c, c, 3, 2, act=False, rng=rng, dtype=dtype)
-        self.s_gate = ConvBNAct(c, c, 3, 1, act=False, rng=rng, dtype=dtype)
-        self.s_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng,
-                              dtype=dtype)
-        self.s_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng, dtype=dtype)
-        self.out = ConvBNAct(c, c, 3, 1, act=False, rng=rng, dtype=dtype)
+        self.d_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng)
+        self.d_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng)
+        self.d_down = ConvBNAct(c, c, 3, 2, act=False, rng=rng)
+        self.s_gate = ConvBNAct(c, c, 3, 1, act=False, rng=rng)
+        self.s_dw = ConvBNAct(c, c, 3, 1, groups=c, act=False, rng=rng)
+        self.s_pt = Conv2d(c, c, 1, 1, 0, bias=True, rng=rng)
+        self.out = ConvBNAct(c, c, 3, 1, act=False, rng=rng)
 
     def __call__(self, detail: Tensor, semantic: Tensor) -> Tensor:
         dh, dw = detail.shape[2:]
@@ -292,11 +289,11 @@ class FusionBlock(Module):
 class SegHead(Module):
     """3x3 refinement, 1x1 to 4x classes, sub-pixel x2, bilinear to target."""
 
-    def __init__(self, in_c, head_c, num_classes, rng, dtype):
+    def __init__(self, in_c, head_c, num_classes, rng):
         super().__init__()
-        self.conv = ConvBNAct(in_c, head_c, 3, 1, rng=rng, dtype=dtype)
+        self.conv = ConvBNAct(in_c, head_c, 3, 1, rng=rng)
         self.point = Conv2d(head_c, 4 * num_classes, 1, 1, 0, bias=True,
-                            rng=rng, dtype=dtype)
+                            rng=rng)
 
     def __call__(self, x, target_hw):
         y = pixel_shuffle(self.point(self.conv(x)), 2)
@@ -306,11 +303,10 @@ class SegHead(Module):
 class AuxHead(Module):
     """Light supervision head for a deep tap: 3x3, 1x1, bilinear to target."""
 
-    def __init__(self, in_c, aux_c, num_classes, rng, dtype):
+    def __init__(self, in_c, aux_c, num_classes, rng):
         super().__init__()
-        self.conv = ConvBNAct(in_c, aux_c, 3, 1, rng=rng, dtype=dtype)
-        self.point = Conv2d(aux_c, num_classes, 1, 1, 0, bias=True, rng=rng,
-                            dtype=dtype)
+        self.conv = ConvBNAct(in_c, aux_c, 3, 1, rng=rng)
+        self.point = Conv2d(aux_c, num_classes, 1, 1, 0, bias=True, rng=rng)
 
     def __call__(self, x, target_hw):
         y = self.point(self.conv(x))
@@ -322,24 +318,24 @@ class CSDN(Module):
                  dtype=np.float32):
         super().__init__()
         self.config = config
-        self.dtype = dtype
         rng = np.random.Generator(np.random.PCG64(seed))
         down_c = IN_FRAMES * 4  # after the 2x2 space-to-channel step
         c3 = config.shallow_channels[2]
         s5 = config.ge_stage_channels[2]
         f = config.fusion_channels
 
-        self.shallow = ShallowNet(down_c, config.shallow_channels, rng, dtype)
-        self.deep = DeepNet(down_c, config, rng, dtype)
-        self.detail_proj = (ConvBNAct(c3, f, 1, 1, act=False, rng=rng,
-                                      dtype=dtype) if c3 != f else None)
-        self.semantic_proj = (ConvBNAct(s5, f, 1, 1, act=False, rng=rng,
-                                        dtype=dtype) if s5 != f else None)
-        self.fusion = FusionBlock(f, rng, dtype)
-        self.head = SegHead(f, config.head_channels, NUM_CLASSES, rng, dtype)
+        self.shallow = ShallowNet(down_c, config.shallow_channels, rng)
+        self.deep = DeepNet(down_c, config, rng)
+        self.detail_proj = (ConvBNAct(c3, f, 1, 1, act=False, rng=rng)
+                            if c3 != f else None)
+        self.semantic_proj = (ConvBNAct(s5, f, 1, 1, act=False, rng=rng)
+                              if s5 != f else None)
+        self.fusion = FusionBlock(f, rng)
+        self.head = SegHead(f, config.head_channels, NUM_CLASSES, rng)
         tap_c = [config.stem_channels] + list(config.ge_stage_channels)
-        self.aux_heads = [AuxHead(c, config.aux_channels, NUM_CLASSES, rng,
-                                  dtype) for c in tap_c]
+        self.aux_heads = [AuxHead(c, config.aux_channels, NUM_CLASSES, rng)
+                          for c in tap_c]
+        self.astype(dtype)
 
     def downsample(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape

@@ -18,8 +18,9 @@ The CRC32 trailer is ``zlib.crc32`` of every byte before it. A file is
 parsed first, every read bounds-checked so a short file raises
 ``FormatError("truncated ...")``, then its CRC is checked, and only then
 is a network built. Both kinds of file are written to a temp file beside
-the target and renamed onto it, so a crash mid-write leaves the previous
-file whole.
+the target, synced, and renamed onto it, so a crash mid-write leaves
+the previous file whole. A tensor with a non-finite value is refused
+before anything is written.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import zlib
 
 import numpy as np
 
+from .autodiff import AutodiffError
 from .model import CSDN, NetworkConfig
 
 MAGIC = b"CSDN"
@@ -93,6 +95,8 @@ def _pack_record(name: str, arr: np.ndarray, learnable: bool) -> bytes:
     nb = name.encode("utf-8")
     if arr.dtype not in _DTYPE_TAGS:
         raise FormatError(f"{name}: unsupported dtype {arr.dtype}")
+    if not np.isfinite(arr).all():
+        raise AutodiffError(f"{name}: non-finite values; nothing written")
     head = struct.pack("<H", len(nb)) + nb
     head += struct.pack("<BBB", _DTYPE_TAGS[arr.dtype], int(learnable),
                         arr.ndim)
@@ -146,19 +150,28 @@ def weights_bytes(net: CSDN) -> bytes:
 
 
 def _write_atomic(path: str, data: bytes):
-    """Write to a temp file beside ``path``, then rename it onto ``path``:
-    a reader sees the old file or the new one, never a torn one. On any
-    failure the temp file is removed and ``path`` is untouched."""
+    """Write to a temp file beside ``path``, sync it, rename it onto
+    ``path``, then sync the directory: a reader sees the old file or the
+    new one, never a torn one, and after a power loss the rename cannot
+    outlive the data. On any failure the temp file is removed and
+    ``path`` is untouched."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    fd = os.open(head or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def save_weights(path: str, net: CSDN):

@@ -9,6 +9,7 @@ slopes are exempt. A decoupled variant is available behind a flag.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .losses import LossConfig, hybrid_loss
 from .metrics import evaluate
 from .model import CSDN
 from .phantom import AugmentConfig, Dataset, batches
-from .serial import load_checkpoint, save_checkpoint
+from .serial import _write_atomic, load_checkpoint, save_checkpoint
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if not 0.0 < self.lr_factor <= 1.0:
             raise ValueError("lr_factor must lie in (0, 1]")
+        # each check is written so that NaN fails it
+        if not (self.lr0 > 0 and math.isfinite(self.lr0)):
+            raise ValueError("lr0 must be finite and > 0")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError("weight_decay must be finite and >= 0")
         if self.augment not in ("full", "mild", "none"):
             raise ValueError("augment must be one of full, mild, none")
 
@@ -113,8 +119,11 @@ class Adam:
                 moments[n][...] = saved[n]
 
     def step(self, grads: dict[str, Tensor], lr: float):
-        """One update; every gradient is checked (present, shape, finite)
-        before any parameter, moment or step count changes."""
+        """One update; the learning rate (finite) and every gradient
+        (present, shape, finite) are checked before any parameter, moment
+        or step count changes."""
+        if not math.isfinite(lr):
+            raise AutodiffError(f"non-finite learning rate {lr}")
         for name, p in self.store.items():
             if name not in grads:
                 raise ValueError(f"no gradient supplied for {name!r}")
@@ -181,6 +190,24 @@ LOG_HEADER = ("epoch,loss,lr,val_dsc_lumen,val_dsc_eem,"
               "val_hd95_lumen,val_hd95_eem")
 
 
+def _log_before(path: str, start_epoch: int) -> str:
+    """The header and the complete rows of the log at ``path`` (if any)
+    for epochs before ``start_epoch``. A row is complete when it ends in a
+    newline and has every column, so a row torn by a crash is dropped."""
+    rows = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            # past the header; a torn row follows the last newline
+            lines = fh.read().split("\n")[1:-1]
+        width = LOG_HEADER.count(",")
+        for line in lines:
+            epoch = line.split(",", 1)[0]
+            if (line.count(",") == width and epoch.isdigit()
+                    and int(epoch) < start_epoch):
+                rows.append(line + "\n")
+    return LOG_HEADER + "\n" + "".join(rows)
+
+
 def _epoch_seed(master_seed: int, epoch: int) -> int:
     return int(np.random.SeedSequence([master_seed, epoch])
                .generate_state(1)[0])
@@ -201,7 +228,9 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
           global_step: int = 0, max_steps: int | None = None
           ) -> list[EpochLog]:
     """Run the epoch loop; returns the per-epoch log. When out_dir is set,
-    writes log.csv, last.ckpt, and best.ckpt (best mean validation DSC)."""
+    writes log.csv, last.ckpt, and best.ckpt (best mean validation DSC);
+    log.csv first keeps only its rows before ``start_epoch``, so a resume
+    drops the rows logged after the checkpoint it starts from."""
     check_train_split(dataset)
     # a trailing single sample is never batched: it trains in other epochs
     full, rest = divmod(len(dataset.train), cfg.batch_size)
@@ -217,9 +246,7 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "log.csv")
-        if start_epoch == 0 or not os.path.exists(log_path):
-            with open(log_path, "w") as fh:
-                fh.write(LOG_HEADER + "\n")
+        _write_atomic(log_path, _log_before(log_path, start_epoch).encode())
 
     for epoch in range(start_epoch, cfg.epochs):
         lr = lr_at_epoch(epoch, cfg)

@@ -54,9 +54,9 @@ def test_criterion_1_parameter_count():
                + cba(24, 48, 1, act=False) + 48)
     head_hand = cba(80, 80, 3) + (80 * 12 + 12)
     blocks = (
-        ("stem", stem_hand, StemBlock(12, 16, rng, np.float32)),
-        ("ge-s2", ge_hand, GELayerS2(24, 48, 6, rng, np.float32)),
-        ("head", head_hand, SegHead(80, 80, 3, rng, np.float32)),
+        ("stem", stem_hand, StemBlock(12, 16, rng)),
+        ("ge-s2", ge_hand, GELayerS2(24, 48, 6, rng)),
+        ("head", head_hand, SegHead(80, 80, 3, rng)),
     )
     mismatches = [f"{name} hand={hand} module={mod.num_parameters()}"
                   for name, hand, mod in blocks

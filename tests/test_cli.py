@@ -214,6 +214,22 @@ def test_gen_data_refuses_overwrite(ds64, tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lr0", "nan"), ("lr0", "inf"), ("lr0", "-1"), ("weight_decay", "-1"),
+    ("aux_weight", "nan"), ("focal_gamma", "nan")])
+def test_train_refuses_config_values_that_cannot_train(ds64, tmp_path,
+                                                       capsys, key, value):
+    cfg = write_cfg(tmp_path, f"preset = micro\nepochs = 1\n"
+                              f"batch_size = 3\n{key} = {value}\n")
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(ds64), "--out", str(out),
+               "--config", cfg, "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not (out / "config.txt").exists()
+
+
 def test_train_then_eval_and_report(ds64, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "preset = micro\nepochs = 1\nbatch_size = 3\n"
                               "augment = none\nval_every = 1\n")

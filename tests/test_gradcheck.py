@@ -93,7 +93,7 @@ def test_block_sweep_passes():
         assert r.passed, r.line()
     # without a coordinate cap the probe visits every parameter of the store
     rng = np.random.Generator(np.random.PCG64(4))
-    conv = layers.Conv2d(2, 3, kernel=3, padding=1, rng=rng, dtype=np.float64)
+    conv = layers.Conv2d(2, 3, kernel=3, padding=1, rng=rng).astype(np.float64)
     x = Tensor(rng.normal(size=(1, 2, 5, 5)))
     r = param_fd_check("conv", lambda: reduce_sum(conv(x)),
                        conv.parameter_store(), max_coords=None)

@@ -980,8 +980,8 @@ def test_conv_bn_act_training_matches_unfused_modules():
     g = rng.normal(size=(3, 5, 6, 6))
     mods = []
     for fused in (True, False):
-        m = ConvBNAct(4, 5, rng=np.random.Generator(np.random.PCG64(1)),
-                      dtype=F64)
+        m = ConvBNAct(4, 5, rng=np.random.Generator(np.random.PCG64(1))
+                      ).astype(F64)
         m.bn.gamma.data[0, 2] = -0.7
         m.act.alpha.data[0, 3] = 0.0
         xt = Tensor(x.copy(), requires_grad=True)
@@ -1005,9 +1005,9 @@ def test_conv_bn_act_training_matches_unfused_modules():
 
 def test_he_uniform_bound_and_determinism():
     a = he_uniform(np.random.Generator(np.random.PCG64(11)), (64, 3, 3, 3),
-                   27, np.float32)
+                   27)
     b = he_uniform(np.random.Generator(np.random.PCG64(11)), (64, 3, 3, 3),
-                   27, np.float32)
+                   27)
     assert np.array_equal(a, b)
     bound = np.sqrt(6.0 / 27.0)
     assert np.abs(a).max() <= bound

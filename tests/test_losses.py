@@ -267,5 +267,8 @@ def test_label_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="focal_gamma"):
-        LossConfig(focal_gamma=-0.1)
+    for key in ("focal_gamma", "aux_weight"):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                LossConfig(**{key: bad})
+    LossConfig(focal_gamma=0.0, aux_weight=0.0)

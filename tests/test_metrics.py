@@ -201,18 +201,22 @@ def test_hd95_matches_brute_force_exactly(monkeypatch, pair_limit, band):
 
 def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
     # single pixels in the corners give the largest d2 (corner to corner)
-    # and the largest partial sums (far corner against far corner)
-    dtypes = []
+    # and the largest partial sums (far corner against far corner); one
+    # pixel past the bound, kd-trees take over
+    paths = []
     gemm = metrics._nearest_sq_gemm
 
-    def spy(pa, pb, dtype):
-        dtypes.append(dtype)
-        got = gemm(pa, pb, dtype)
-        for want, d2 in zip(gemm(pa, pb, np.float64), got):
-            assert d2.dtype == np.float64 and np.array_equal(d2, want)
-        return got
+    def spy(pa, pb):
+        paths.append("gemm")
+        return gemm(pa, pb)
+
+    class SpyTree(metrics.cKDTree):
+        def __init__(self, data):
+            paths.append("kd-tree")
+            super().__init__(data)
 
     monkeypatch.setattr(metrics, "_nearest_sq_gemm", spy)
+    monkeypatch.setattr(metrics, "cKDTree", SpyTree)
     for side in (metrics.F32_SIDE, metrics.F32_SIDE + 1):
         e = side - 1
         pa = np.array([(0, 0), (0, 1), (e, e)], dtype=np.float64)
@@ -226,7 +230,7 @@ def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
         want = percentile_95(np.concatenate(
             [np.sqrt(d2.min(axis=1)), np.sqrt(d2.min(axis=0))])) * 0.02
         assert hd95(*masks, 0.02) == want
-    assert dtypes == [np.float32, np.float64]
+    assert paths == ["gemm", "kd-tree", "kd-tree"]
 
 
 def test_hd95_takes_kd_trees_only_above_the_pair_limit(monkeypatch):

@@ -57,7 +57,7 @@ def test_convbnact_count_matches_formula():
 def test_stem_block_count_matches_formula():
     want = (cba_params(12, 16, 3) + cba_params(16, 8, 1) + cba_params(8, 8, 3)
             + cba_params(24, 16, 3))
-    assert StemBlock(12, 16, rng_(0), np.float32).num_parameters() == want
+    assert StemBlock(12, 16, rng_(0)).num_parameters() == want
 
 
 def test_ge_s2_count_matches_formula():
@@ -66,12 +66,12 @@ def test_ge_s2_count_matches_formula():
             + cba_params(e, 24, 1, act=False)
             + cba_params(16, 16, 3, groups=16, act=False)
             + cba_params(16, 24, 1, act=False) + 24)
-    assert GELayerS2(16, 24, 6, rng_(0), np.float32).num_parameters() == want
+    assert GELayerS2(16, 24, 6, rng_(0)).num_parameters() == want
 
 
 def test_seg_head_count_matches_formula():
     want = cba_params(80, 80, 3) + (80 * 12 + 12)  # biased 1x1 to 4x classes
-    assert SegHead(80, 80, 3, rng_(0), np.float32).num_parameters() == want
+    assert SegHead(80, 80, 3, rng_(0)).num_parameters() == want
 
 
 # -- stride chain -------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_width_projections_only_when_needed():
 
 
 def test_ge_s1_residual_identity_when_projection_zeroed():
-    layer = GELayerS1(4, 2, rng_(1), np.float32)
+    layer = GELayerS1(4, 2, rng_(1))
     layer.eval()
     layer.proj.conv.weight.data[:] = 0.0
     layer.act.alpha.data[:] = 1.0
@@ -145,7 +145,7 @@ def test_ge_s1_residual_identity_when_projection_zeroed():
 
 
 def test_ge_s1_receptive_field_is_local():
-    layer = GELayerS1(4, 2, rng_(3), np.float32)
+    layer = GELayerS1(4, 2, rng_(3))
     layer.eval()
     base = x32(rng_(4), 1, 4, 16, 16)
     bumped = Tensor(base.data.copy())
@@ -157,7 +157,7 @@ def test_ge_s1_receptive_field_is_local():
 
 
 def test_context_block_receptive_field_is_global():
-    blk = ContextBlock(4, rng_(5), np.float32)
+    blk = ContextBlock(4, rng_(5))
     blk.eval()
     base = x32(rng_(6), 1, 4, 16, 16)
     bumped = Tensor(base.data.copy())
@@ -167,29 +167,29 @@ def test_context_block_receptive_field_is_global():
 
 
 def test_ge_s2_halves_and_widens():
-    layer = GELayerS2(6, 10, 2, rng_(7), np.float32)
+    layer = GELayerS2(6, 10, 2, rng_(7))
     layer.eval()
     out = layer(x32(rng_(8), 2, 6, 16, 16))
     assert out.shape == (2, 10, 8, 8)
-    odd = GELayerS2(6, 10, 2, rng_(7), np.float32)
+    odd = GELayerS2(6, 10, 2, rng_(7))
     odd.eval()
     assert odd(x32(rng_(8), 1, 6, 9, 9)).shape == (1, 10, 5, 5)
 
 
 def test_stem_quarters_resolution():
-    stem = StemBlock(12, 16, rng_(9), np.float32)
+    stem = StemBlock(12, 16, rng_(9))
     stem.eval()
     assert stem(x32(rng_(10), 1, 12, 32, 32)).shape == (1, 16, 8, 8)
 
 
 def test_shallow_net_eighth_resolution():
-    net = ShallowNet(12, (8, 10, 12), rng_(11), np.float32)
+    net = ShallowNet(12, (8, 10, 12), rng_(11))
     net.eval()
     assert net(x32(rng_(12), 1, 12, 64, 64)).shape == (1, 12, 8, 8)
 
 
 def test_fusion_validates_inputs():
-    fusion = FusionBlock(8, rng_(13), np.float32)
+    fusion = FusionBlock(8, rng_(13))
     fusion.eval()
     detail = x32(rng_(14), 1, 8, 16, 16)
     ok = fusion(detail, x32(rng_(14), 1, 8, 4, 4))
@@ -201,7 +201,7 @@ def test_fusion_validates_inputs():
 
 
 def test_aux_head_shape():
-    head = AuxHead(6, 4, 3, rng_(15), np.float32)
+    head = AuxHead(6, 4, 3, rng_(15))
     head.eval()
     assert head(x32(rng_(16), 2, 6, 4, 4), (64, 64)).shape == (2, 3, 64, 64)
 

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from csdn.autodiff import Tensor
+from csdn.autodiff import AutodiffError, Tensor
 from csdn import serial
 from csdn.model import CSDN, NetworkConfig
 from csdn.serial import (FormatError, load_checkpoint, load_weights,
@@ -319,4 +319,33 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, save):
     monkeypatch.undo()
     write(2)
     assert path.read_bytes() != before
+    assert os.listdir(tmp_path) == ["model.bin"]
+
+
+@pytest.mark.parametrize("save", ["weights", "checkpoint"])
+def test_non_finite_tensor_is_refused_before_any_write(tmp_path, save):
+    net = warmed_net(1)
+    opt = Adam(net.parameter_store())
+    path = tmp_path / "model.bin"
+    cases = {"head.point.bias": net.head.point.bias.data,
+             "head.conv.bn.running_var": net.head.conv.bn.running_var.data}
+    if save == "checkpoint":
+        cases["m:head.point.bias"] = opt.m["head.point.bias"]
+
+    def write():
+        if save == "weights":
+            save_weights(str(path), net)
+        else:
+            save_checkpoint(str(path), net, opt, epoch=0, global_step=1,
+                            master_seed=0, best_val_dsc=-1.0)
+
+    for name, arr in cases.items():
+        for value in (np.nan, np.inf):
+            keep = arr.flat[0]
+            arr.flat[0] = value
+            with pytest.raises(AutodiffError, match=f"{name}: non-finite"):
+                write()
+            arr.flat[0] = keep
+            assert os.listdir(tmp_path) == []
+    write()
     assert os.listdir(tmp_path) == ["model.bin"]

@@ -47,6 +47,13 @@ def test_train_config_guards():
                 TrainConfig(**{key: bad})
     with pytest.raises(ValueError, match="lr_factor"):
         TrainConfig(lr_factor=0.0)
+    nan, inf = float("nan"), float("inf")
+    for key, bads in (("lr0", (nan, inf, 0.0, -1.0)),
+                      ("weight_decay", (nan, inf, -1.0))):
+        for bad in bads:
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: bad})
+    TrainConfig(weight_decay=0.0)
     with pytest.raises(ValueError, match="augment"):
         TrainConfig(augment="heavy")
 
@@ -150,15 +157,19 @@ def test_adam_error_paths():
 
     before = state()
     fine = np.full(shape, 0.25)
-    for grads, err, match in (
-            ({"a": np.full(shape, np.nan), "b": fine}, AutodiffError,
+    for grads, lr, err, match in (
+            ({"a": np.full(shape, np.nan), "b": fine}, 1e-2, AutodiffError,
              "non-finite gradient for 'a'"),
-            ({"a": fine, "b": np.full(shape, -np.inf)}, AutodiffError,
+            ({"a": fine, "b": np.full(shape, -np.inf)}, 1e-2, AutodiffError,
              "non-finite gradient for 'b'"),
-            ({"a": fine, "b": np.zeros((2, 1, 1, 1))}, ValueError,
-             "gradient shape")):
+            ({"a": fine, "b": np.zeros((2, 1, 1, 1))}, 1e-2, ValueError,
+             "gradient shape"),
+            ({"a": fine, "b": fine}, np.nan, AutodiffError,
+             "non-finite learning rate"),
+            ({"a": fine, "b": fine}, np.inf, AutodiffError,
+             "non-finite learning rate")):
         with pytest.raises(err, match=match):
-            opt.step({n: Tensor(g) for n, g in grads.items()}, lr=1e-2)
+            opt.step({n: Tensor(g) for n, g in grads.items()}, lr=lr)
         assert opt.step_count == 1
         assert all(np.array_equal(u, w) for u, w in zip(before, state()))
 
@@ -356,6 +367,53 @@ def test_resume_matches_uninterrupted_run(small_ds, tmp_path):
         assert np.array_equal(opt_a["v"][n], opt_b["v"][n]), n
     for key in ("epoch", "global_step", "master_seed"):
         assert tr_a[key] == tr_b[key]
+
+
+def test_resume_after_a_crash_logs_as_the_straight_run(small_ds, tmp_path):
+    # checkpoints at epochs 1 and 3; the crashed run stops after logging
+    # epoch 2 (two steps an epoch), and its log ends in a torn row
+    from csdn.serial import load_checkpoint
+    cfg = micro_cfg(epochs=4, checkpoint_every=2)
+    straight, crashed = str(tmp_path / "straight"), str(tmp_path / "crash")
+    train(CSDN(NetworkConfig.micro(), seed=0), small_ds, cfg, LossConfig(),
+          out_dir=straight, quiet=True)
+    train(CSDN(NetworkConfig.micro(), seed=0), small_ds, cfg, LossConfig(),
+          out_dir=crashed, quiet=True, max_steps=6)
+    log = os.path.join(crashed, "log.csv")
+    with open(log) as fh:
+        assert [r.split(",")[0] for r in fh.read().splitlines()[1:]] \
+            == ["0", "1", "2"]
+    assert load_checkpoint(os.path.join(crashed, "last.ckpt"))[2]["epoch"] \
+        == 1
+    with open(log, "a") as fh:
+        fh.write("3,0.81")
+    logs = resume(os.path.join(crashed, "last.ckpt"), small_ds, cfg,
+                  LossConfig(), out_dir=crashed, quiet=True)
+    assert [e.epoch for e in logs] == [2, 3]
+    for name in ("log.csv", "last.ckpt"):
+        with open(os.path.join(straight, name), "rb") as a, \
+                open(os.path.join(crashed, name), "rb") as b:
+            assert a.read() == b.read(), name
+    assert sorted(os.listdir(crashed)) == ["best.ckpt", "last.ckpt",
+                                           "log.csv"]
+
+
+def test_nan_parameter_never_reaches_a_checkpoint(small_ds, tmp_path,
+                                                  monkeypatch):
+    # a step that leaves a parameter NaN ends the epoch (max_steps), so the
+    # checkpoint is the first thing to read the weights after it
+    out = str(tmp_path / "run")
+    step = Adam.step
+
+    def poisoned(self, grads, lr):
+        step(self, grads, lr)
+        self.store["head.point.bias"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(Adam, "step", poisoned)
+    with pytest.raises(AutodiffError, match="head.point.bias: non-finite"):
+        train(CSDN(NetworkConfig.micro(), seed=0), small_ds, micro_cfg(),
+              LossConfig(), out_dir=out, quiet=True, max_steps=1)
+    assert sorted(os.listdir(out)) == ["log.csv"]
 
 
 def test_resume_rejects_other_seed(small_ds, tmp_path):
