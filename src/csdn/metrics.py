@@ -12,8 +12,12 @@ Nearest boundary distances come from one matrix of squared distances,
 d2 = |p|^2 - 2 p.q + |q|^2, made by a GEMM of [y, x, 1, |p|^2] against
 [-2y', -2x', |q|^2, 1] one band of rows at a time; each band gives its
 rows' minima and lowers a running column minimum, so both directed sets
-come from one pass. On masks of side s every product and partial sum is
-an integer of magnitude at most 8 (s-1)^2, below 2^24 up to s = F32_SIDE,
+come from one pass. Both sets are pooled, so the pair's order is free:
+the smaller boundary gives the rows and the larger one lies along each
+band, where the row minima run over contiguous memory and a band holds
+few rows (a predicted boundary can be several times the true contour).
+On masks of side s every product and partial sum is an integer of
+magnitude at most 8 (s-1)^2, below 2^24 up to s = F32_SIDE,
 so the GEMM runs in float32, d2 is exact and its square root is the value
 an all-pairs brute force or a kd-tree gives. cKDTree takes over on larger
 masks, and above KD_TREE_PAIRS point pairs, where the matrix costs more
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .autodiff import Tensor, no_grad
-from .model import IN_FRAMES
+from .model import IN_FRAMES, fold_scope
 
 KD_TREE_PAIRS = 1 << 21   # hd95 uses kd-trees above this many point pairs
 GEMM_BAND_BYTES = 1 << 19  # bytes of the distance matrix filled at a time
@@ -59,19 +63,19 @@ def _check_pair(a: np.ndarray, b: np.ndarray):
 
 def dsc(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_pair(a, b)
-    sa, sb = int(a.sum()), int(b.sum())
+    sa, sb = int(np.count_nonzero(a)), int(np.count_nonzero(b))
     if sa == 0 and sb == 0:
         return 1.0
-    inter = int((a & b).sum())
+    inter = int(np.count_nonzero(a & b))
     return 2.0 * inter / (sa + sb)
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:
     a, b = _check_pair(a, b)
-    union = int((a | b).sum())
+    union = int(np.count_nonzero(a | b))
     if union == 0:
         return 1.0
-    return int((a & b).sum()) / union
+    return int(np.count_nonzero(a & b)) / union
 
 
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
@@ -123,8 +127,9 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
     a, b = _check_pair(a, b)
     if not a.any() or not b.any():
         raise ValueError("hd95 is undefined for an empty mask")
-    pa = boundary_pixels(a).astype(np.float64)
-    pb = boundary_pixels(b).astype(np.float64)
+    # pooled, so the order is free: the smaller set gives the band's rows
+    pa, pb = sorted((boundary_pixels(a).astype(np.float64),
+                     boundary_pixels(b).astype(np.float64)), key=len)
     if len(pa) * len(pb) > KD_TREE_PAIRS or max(a.shape) > F32_SIDE:
         d_ab = cKDTree(pb).query(pa)[0]
         d_ba = cKDTree(pa).query(pb)[0]
@@ -193,14 +198,16 @@ def label_map(logits: np.ndarray) -> np.ndarray:
 
 @contextlib.contextmanager
 def eval_mode(model):
-    """Run the body with ``model`` in eval mode. A model in training mode is
-    switched once and switched back on the way out; one already in eval
-    mode is left alone."""
+    """Run the body with ``model`` in eval mode and inside one
+    ``fold_scope``, so each batch-norm fold is made once per block. A model
+    in training mode is switched once and switched back on the way out; one
+    already in eval mode is left alone."""
     was_training = model.training
     if was_training:
         model.eval()
     try:
-        yield
+        with fold_scope():
+            yield
     finally:
         if was_training:
             model.train()

@@ -15,6 +15,7 @@ init, widened exactly.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -92,15 +93,38 @@ class CsdnOutput:
     aux_logits: list[Tensor] = field(default_factory=list)
 
 
+# ConvBNAct -> its fold(), kept from the block's first no-grad eval call
+# until the outermost fold_scope ends; None outside any scope.
+_folds: dict | None = None
+
+
+@contextlib.contextmanager
+def fold_scope():
+    """Keep each ``ConvBNAct``'s batch-norm fold from its first no-grad
+    eval call until the scope ends, also when the body raises. A nested
+    scope shares the outer memo. Weights and BN statistics must not
+    change inside a scope, or the memo goes stale."""
+    global _folds
+    if _folds is not None:
+        yield
+        return
+    _folds = {}
+    try:
+        yield
+    finally:
+        _folds = None
+
+
 class ConvBNAct(Module):
     """conv -> batch norm -> optional PReLU. The conv pads kernel // 2 and
     carries no bias (the BN shift absorbs it).
 
     BN and PReLU run as one recorded op (``layers.batchnorm`` through
     ``BatchNorm2d``). An eval-mode forward that records no graph instead
-    folds the BN into the conv: one conv with weight * scale and bias
-    shift, where (scale, shift) is the BN's eval affine map, recomputed on
-    every call so nothing goes stale.
+    runs one conv with the BN folded in (``fold``). Inside ``fold_scope``
+    the fold is made on the block's first such call and kept until the
+    scope ends, so the weights must not change inside it; outside any
+    scope it is made on every call.
     """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, groups=1, act=True,
@@ -111,17 +135,26 @@ class ConvBNAct(Module):
         self.bn = BatchNorm2d(out_c)
         self.act = PReLU(out_c) if act else None
 
+    def fold(self) -> tuple[Tensor, Tensor]:
+        """(weight * scale, shift): the conv weight and bias of conv then
+        eval-mode BN, where scale * x + shift is the BN's eval affine map."""
+        scale, shift = self.bn.eval_affine()
+        return (Tensor(self.conv.weight.data * scale.reshape(-1, 1, 1, 1)),
+                Tensor(shift))
+
     def __call__(self, x):
         if self.training or grad_enabled():
             alpha = None if self.act is None else self.act.alpha
             return self.bn(self.conv(x), alpha)
-        scale, shift = self.bn.eval_affine()
+        folds = {} if _folds is None else _folds
+        if self not in folds:
+            folds[self] = self.fold()
+        weight, shift = folds[self]
         conv = self.conv
-        weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
         # layers.conv2d is looked up at call time, as in Conv2d.__call__, so
         # a wrapper installed on it sees the folded convs too.
-        y = layers.conv2d(x, Tensor(weight), Tensor(shift), conv.stride,
-                          conv.padding, conv.groups)
+        y = layers.conv2d(x, weight, shift, conv.stride, conv.padding,
+                          conv.groups)
         return self.act(y) if self.act is not None else y
 
 

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from csdn.autodiff import Tensor
-from csdn import metrics
+from csdn.autodiff import Tensor, no_grad
+from csdn import metrics, model
+from csdn.layers import BatchNorm2d
 from csdn.metrics import (MetricsReport, boundary_pixels, dsc, evaluate,
                           fps_benchmark, hd95, iou, label_map, percentile_95,
                           predict_label, region_masks, sample_metrics,
                           write_report_csv)
-from csdn.model import CSDN, CsdnOutput, NetworkConfig
+from csdn.model import CSDN, CsdnOutput, NetworkConfig, SegHead
 from csdn.phantom import generate_phantom
 
 
@@ -233,6 +234,23 @@ def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
     assert paths == ["gemm", "kd-tree", "kd-tree"]
 
 
+def test_hd95_gives_the_gemm_the_smaller_set_as_rows(monkeypatch):
+    shapes = []
+    gemm = metrics._nearest_sq_gemm
+
+    def spy(pa, pb):
+        shapes.append((len(pa), len(pb)))
+        return gemm(pa, pb)
+
+    monkeypatch.setattr(metrics, "_nearest_sq_gemm", spy)
+    small, large = disc(64, 64, 30, 33, 6), disc(64, 64, 32, 30, 20)
+    n_small, n_large = len(boundary_pixels(small)), len(boundary_pixels(large))
+    assert n_small < n_large
+    assert hd95(small, large, 0.02) == brute_hd95(small, large, 0.02)
+    assert hd95(large, small, 0.02) == brute_hd95(large, small, 0.02)
+    assert shapes == [(n_small, n_large)] * 2
+
+
 def test_hd95_takes_kd_trees_only_above_the_pair_limit(monkeypatch):
     built = []
 
@@ -363,6 +381,55 @@ def test_predict_and_evaluate_leave_the_frames_alone():
     for s, k in zip(samples, kept):
         assert s.frames.dtype == net.dtype
         assert s.frames.tobytes() == k.tobytes()
+
+
+def test_evaluate_folds_each_block_once_and_clears_the_memo(monkeypatch):
+    net = CSDN(NetworkConfig.micro(), seed=0)
+    samples = [generate_phantom(s + 40, 64, sample_id=f"b{s}")
+               for s in range(3)]
+    folded = []
+    eval_affine = BatchNorm2d.eval_affine
+
+    def spy(self):
+        folded.append(self)
+        return eval_affine(self)
+
+    monkeypatch.setattr(BatchNorm2d, "eval_affine", spy)
+    predict_label(net, samples[0].frames)
+    per_forward = folded[:]
+    # every conv+BN block that eval runs, once; the aux heads never run
+    blocks = [n for n, _ in net.named_buffers()
+              if n.endswith(".bn.running_mean") and not n.startswith("aux")]
+    assert len(per_forward) == len(set(per_forward)) == len(blocks)
+    folded.clear()
+    rep = evaluate(net, samples)
+    assert folded == per_forward  # once per evaluate, not once per sample
+    assert model._folds is None
+
+    # outside any scope, a no-grad eval forward folds on every call
+    folded.clear()
+    net.eval()
+    with no_grad():
+        net(Tensor(samples[0].frames[None]))
+        net(Tensor(samples[0].frames[None]))
+    net.train()
+    assert folded == per_forward * 2
+
+    # the report is the one a sample-by-sample loop gives, bit for bit
+    rows = [(s.id, region, m) for s in samples
+            for region, m in sample_metrics(predict_label(net, s.frames),
+                                            s.label, s.spacing_mm).items()]
+    assert repr(rep.rows) == repr(rows)
+
+    def fails(self, x, target_hw):
+        raise RuntimeError("forward failed")
+
+    folded.clear()
+    monkeypatch.setattr(SegHead, "__call__", fails)
+    with pytest.raises(RuntimeError, match="forward failed"):
+        evaluate(net, samples)
+    assert folded and model._folds is None
+    assert net.training
 
 
 @pytest.mark.parametrize("classes", [1, 2, 3, 5])

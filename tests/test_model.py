@@ -2,9 +2,12 @@
 stride chain, receptive-field probes, residual identities, hand-counted
 parameter formulas."""
 
+import platform
+
 import numpy as np
 import pytest
 
+import csdn
 from csdn import layers
 from csdn.autodiff import AutodiffError, Tensor, no_grad
 from csdn.metrics import label_map
@@ -311,3 +314,13 @@ def test_folded_eval_keeps_running_var_guard():
     net.shallow.blocks[0].down.bn.running_var.data[0, 1] = 0.0
     with no_grad(), pytest.raises(AutodiffError, match="running_var"):
         net(x32(rng_(19), 1, 3, 64, 64))
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="subnormals are flushed on x86-64 glibc only")
+def test_import_flushes_float32_subnormals():
+    # deep sigmoid gates underflow; arithmetic on subnormals is slow
+    tiny = np.full(8, 1e-20, dtype=np.float32)
+    assert csdn.FLUSH_SUBNORMALS
+    assert not (tiny * tiny).any()  # 1e-40 would be subnormal
