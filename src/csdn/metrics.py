@@ -198,15 +198,14 @@ def label_map(logits: np.ndarray) -> np.ndarray:
 
 @contextlib.contextmanager
 def eval_mode(model):
-    """Run the body with ``model`` in eval mode and inside one
-    ``fold_scope``, so each batch-norm fold is made once per block. A model
-    in training mode is switched once and switched back on the way out; one
-    already in eval mode is left alone."""
+    """Run the body with ``model`` in eval mode and no graph recorded. A
+    model in training mode is switched once and switched back on the way
+    out; one already in eval mode is left alone."""
     was_training = model.training
     if was_training:
         model.eval()
     try:
-        with fold_scope():
+        with no_grad():
             yield
     finally:
         if was_training:
@@ -215,46 +214,43 @@ def eval_mode(model):
 
 def predict_label(model, frames: np.ndarray) -> np.ndarray:
     """Argmax class map of an eval-mode forward on one (3, H, W) stack."""
-    with eval_mode(model), no_grad():
+    with eval_mode(model):
         out = model(Tensor(frames[None].astype(model.dtype, copy=False)))
     return label_map(out.main_logits.data[0])
 
 
+def _mean(values: list[float]) -> float:
+    """Plain left-to-right sum over the count (``sum`` compensates from
+    Python 3.12 on); NaN for an empty list."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values) if values else float("nan")
+
+
 def evaluate(model, samples) -> MetricsReport:
-    """Mean per-sample metrics over a split. Samples whose prediction is
-    empty for a region keep their dsc/iou and are dropped from that
-    region's hd95 mean, counted in the report."""
-    rep = MetricsReport()
-    sums = {r: {"dsc": 0.0, "iou": 0.0, "hd": 0.0, "hd_n": 0}
-            for r in ("lumen", "eem")}
-    excluded = set()
-    with eval_mode(model):
+    """Mean per-sample metrics over a split, inside one ``fold_scope`` so
+    each batch-norm fold is made once per ``evaluate``. Samples whose
+    prediction is empty for a region keep their dsc/iou and are dropped
+    from that region's hd95 mean, counted in the report."""
+    rows = []
+    with eval_mode(model), fold_scope():
         for s in samples:
-            pred = predict_label(model, s.frames)
-            ms = sample_metrics(pred, s.label, s.spacing_mm)
-            for region, m in ms.items():
-                sums[region]["dsc"] += m.dsc
-                sums[region]["iou"] += m.iou
-                if m.hd95_mm is None:
-                    excluded.add(s.id)
-                else:
-                    sums[region]["hd"] += m.hd95_mm
-                    sums[region]["hd_n"] += 1
-                rep.rows.append((s.id, region, m))
-            rep.n_samples += 1
-    if rep.n_samples == 0:
+            ms = sample_metrics(predict_label(model, s.frames), s.label,
+                                s.spacing_mm)
+            rows += [(s.id, region, m) for region, m in ms.items()]
+    if not rows:
         raise ValueError("evaluate needs a nonempty split")
-    n = rep.n_samples
-    rep.lumen_dsc = sums["lumen"]["dsc"] / n
-    rep.lumen_iou = sums["lumen"]["iou"] / n
-    rep.eem_dsc = sums["eem"]["dsc"] / n
-    rep.eem_iou = sums["eem"]["iou"] / n
-    rep.lumen_hd95_mm = (sums["lumen"]["hd"] / sums["lumen"]["hd_n"]
-                         if sums["lumen"]["hd_n"] else float("nan"))
-    rep.eem_hd95_mm = (sums["eem"]["hd"] / sums["eem"]["hd_n"]
-                       if sums["eem"]["hd_n"] else float("nan"))
-    rep.hd95_excluded = len(excluded)
-    return rep
+    means = {}
+    for region in ("lumen", "eem"):
+        ms = [m for _, r, m in rows if r == region]  # one per sample
+        means[f"{region}_dsc"] = _mean([m.dsc for m in ms])
+        means[f"{region}_iou"] = _mean([m.iou for m in ms])
+        means[f"{region}_hd95_mm"] = _mean(
+            [m.hd95_mm for m in ms if m.hd95_mm is not None])
+    excluded = {sid for sid, _, m in rows if m.hd95_mm is None}
+    return MetricsReport(**means, n_samples=len(ms),
+                         hd95_excluded=len(excluded), rows=rows)
 
 
 def write_report_csv(path: str, rep: MetricsReport):
@@ -267,14 +263,15 @@ def write_report_csv(path: str, rep: MetricsReport):
 
 def fps_benchmark(model, input_hw: tuple[int, int], batch: int = 1,
                   warmup_iters: int = 2, timed_iters: int = 20) -> dict:
-    """Eval-mode forward throughput on seed-0 uniform frames; wall-clock,
-    single process. The model leaves in the mode it came in."""
+    """Eval-mode forward throughput on seed-0 uniform frames, inside one
+    ``fold_scope``; wall-clock, single process. The model leaves in the
+    mode it came in."""
     if warmup_iters < 1 or timed_iters < 10:
         raise ValueError("need warmup >= 1 and timed iterations >= 10")
     rng = np.random.Generator(np.random.PCG64(0))
     x = Tensor(rng.uniform(0.0, 1.0, size=(batch, IN_FRAMES, *input_hw))
                .astype(model.dtype))
-    with eval_mode(model), no_grad():
+    with eval_mode(model), fold_scope():
         for _ in range(warmup_iters):
             model(x)
         lat = []

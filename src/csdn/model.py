@@ -94,20 +94,18 @@ class CsdnOutput:
 
 
 # ConvBNAct -> its fold(), kept from the block's first no-grad eval call
-# until the outermost fold_scope ends; None outside any scope.
+# until the fold_scope ends; None outside any scope.
 _folds: dict | None = None
 
 
 @contextlib.contextmanager
 def fold_scope():
     """Keep each ``ConvBNAct``'s batch-norm fold from its first no-grad
-    eval call until the scope ends, also when the body raises. A nested
-    scope shares the outer memo. Weights and BN statistics must not
-    change inside a scope, or the memo goes stale."""
+    eval call until the scope ends, also when the body raises. Enter it
+    only around repeated forwards; a scope nested in another ends the
+    outer memo, whose body then folds on every call. Weights and BN
+    statistics must not change inside a scope, or the memo goes stale."""
     global _folds
-    if _folds is not None:
-        yield
-        return
     _folds = {}
     try:
         yield
@@ -121,10 +119,10 @@ class ConvBNAct(Module):
 
     BN and PReLU run as one recorded op (``layers.batchnorm`` through
     ``BatchNorm2d``). An eval-mode forward that records no graph instead
-    runs one conv with the BN folded in (``fold``). Inside ``fold_scope``
-    the fold is made on the block's first such call and kept until the
-    scope ends, so the weights must not change inside it; outside any
-    scope it is made on every call.
+    runs one conv with the BN folded in (``fold``), made on every call.
+    Inside ``fold_scope``, which the loops that repeat forwards enter, the
+    fold is made on the block's first such call and kept until the scope
+    ends, so the weights must not change inside it.
     """
 
     def __init__(self, in_c, out_c, kernel=3, stride=1, groups=1, act=True,

@@ -154,9 +154,10 @@ def _write_atomic(path: str, data: bytes):
     ``path``, then sync the directory: a reader sees the old file or the
     new one, never a torn one, and after a power loss the rename cannot
     outlive the data. On any failure the temp file is removed and
-    ``path`` is untouched."""
+    ``path`` is untouched; one left by a killed writer is overwritten and
+    renamed away by the next write."""
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    tmp = os.path.join(head, f".{tail}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(data)

@@ -225,8 +225,7 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
           loss_cfg: LossConfig, out_dir: str | None = None,
           quiet: bool = False, start_epoch: int = 0,
           opt_state: dict | None = None, best_val_dsc: float = -1.0,
-          global_step: int = 0, max_steps: int | None = None
-          ) -> list[EpochLog]:
+          global_step: int = 0) -> list[EpochLog]:
     """Run the epoch loop; returns the per-epoch log. When out_dir is set,
     writes log.csv, last.ckpt, and best.ckpt (best mean validation DSC);
     log.csv first keeps only its rows before ``start_epoch``, so a resume
@@ -262,15 +261,13 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
                 loss = hybrid_loss(out, labels, loss_cfg)
             except AutodiffError as e:
                 raise AutodiffError(
-                    f"non-finite loss at epoch {epoch} batch {batch_id}: {e}"
-                ) from e
+                    f"non-finite loss at epoch {epoch} batch {batch_id} "
+                    f"(lr {lr:g}): {e}") from e
             store.zero_grad()
             grads = backward(loss, store)
             opt.step(grads, lr)
             losses.append(loss.item())
             global_step += 1
-            if max_steps is not None and global_step >= max_steps:
-                break
         entry = EpochLog(epoch=epoch, loss=float(np.mean(losses)), lr=lr)
 
         last_epoch = epoch == cfg.epochs - 1
@@ -303,8 +300,6 @@ def train(net: CSDN, dataset: Dataset, cfg: TrainConfig,
                                 epoch=epoch, global_step=global_step,
                                 master_seed=cfg.seed,
                                 best_val_dsc=best_val_dsc)
-        if max_steps is not None and global_step >= max_steps:
-            break
     return logs
 
 

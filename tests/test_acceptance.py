@@ -269,8 +269,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
     losses = []
     for _ in range(2):
         net = CSDN(NetworkConfig.micro(), seed=cfg.seed)
-        logs = train(net, ds, cfg, LossConfig(), None, quiet=True,
-                     max_steps=5)
+        logs = train(net, ds, cfg, LossConfig(), None, quiet=True)
         losses.append([log.loss for log in logs])
     if len(losses[0]) != 5 or losses[0] != losses[1]:
         failures.append(f"first-5-step losses differ: {losses}")

@@ -40,6 +40,17 @@ def micro_weights(tmp_path_factory):
     return path
 
 
+def run_csdn(*args):
+    """``python -m csdn ARGS`` in a child that imports the package from the
+    source tree."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "csdn", *args],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def write_cfg(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text)
@@ -228,6 +239,23 @@ def test_train_refuses_config_values_that_cannot_train(ds64, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
     assert not (out / "config.txt").exists()
+
+
+@pytest.mark.parametrize("lr0", ["1e30", "1e38", "1e300"])
+def test_train_huge_lr_fails_with_one_line(tmp_path, lr0):
+    # the first step overflows the float32 weights and the next batch's
+    # forward fails; a child process, so numpy's warnings reach its stderr
+    assert main(["gen-data", "--out", str(tmp_path / "ds"), "--n-train",
+                 "4", "--n-val", "1", "--size", "64"]) == 0
+    cfg = write_cfg(tmp_path, f"preset = micro\nepochs = 1\nbatch_size = 2\n"
+                              f"augment = none\nlr0 = {lr0}\n")
+    proc = run_csdn("train", "--data", str(tmp_path / "ds"), "--out",
+                    str(tmp_path / "run"), "--config", cfg, "--quiet")
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: non-finite loss at epoch 0 batch 1 "
+                             f"(lr {float(lr0):g}): ")
 
 
 def test_train_then_eval_and_report(ds64, tmp_path, capsys):
@@ -566,13 +594,7 @@ def test_gradcheck_one_channel_dense_conv(tmp_path, capsys):
 
 
 def test_console_script_help():
-    # the child imports the package from the source tree
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "csdn", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_csdn("--help")
     assert proc.returncode == 0
     for word in ("gen-data", "train", "eval", "infer", "bench", "gradcheck"):
         assert word in proc.stdout

@@ -291,26 +291,66 @@ def mac_depthwise(x, w, padding, stride):
     return out
 
 
-def test_depthwise_float32_error_within_dot_product_bound():
-    # against the exact sum of each window's float64 products (a float32
-    # product is exact in float64), both the matmul and the k*k
-    # multiply-accumulate orders err by at most k*k * eps * sum |w * x|
-    rng = np.random.Generator(np.random.PCG64(82))
+def exact_and_bound(terms, axis):
+    """``math.fsum`` of the float64 terms along ``axis``, and the bound
+    n_terms * eps * sum |term| there on any float32 order of that sum."""
+    exact = np.apply_along_axis(math.fsum, axis, terms)
     eps = np.finfo(np.float32).eps
-    for stride, padding in ((1, 1), (2, 1), (1, 0), (2, 0)):
+    return exact, terms.shape[axis] * eps * np.abs(terms).sum(axis=axis)
+
+
+# kind -> (weight shape, groups, paddings) on a (2, 4, 9, 8) input
+CONV_KINDS = {"depthwise": ((4, 1, 3, 3), 4, (1, 0)),
+              "dense3x3": ((5, 4, 3, 3), 1, (1, 0)),
+              "dense1x1": ((5, 4, 1, 1), 1, (0,))}
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kind", list(CONV_KINDS))
+def test_conv_float32_error_within_dot_product_bound(kind, stride):
+    # against the exact sum of each output's float64 products (a float32
+    # product is exact in float64), float32 sums in any order, the
+    # depthwise k*k multiply-accumulate too, err by at most n_terms * eps *
+    # sum |w * x|; the dense 3x3's input and weight gradients likewise,
+    # their sums running over the output channels and taps, and over the
+    # batch and the map
+    rng = np.random.Generator(np.random.PCG64(82))
+    shape, groups, paddings = CONV_KINDS[kind]
+    c_out, _, kh, kw = shape
+    for p in paddings:
         x = rng.normal(size=(2, 4, 9, 8)).astype(np.float32)
-        w = rng.normal(size=(4, 1, 3, 3)).astype(np.float32)
-        got = conv2d(Tensor(x), Tensor(w), None, stride=stride,
-                     padding=padding, groups=4).data
-        mac = mac_depthwise(x, w, padding, stride)
-        cols, _ = np_pad_columns(x.astype(F64), 3, 3, padding, stride)
-        terms = (cols * w.astype(F64).reshape(1, 4, 3, 3, 1, 1)).reshape(
-            2, 4, 9, *got.shape[2:])
-        exact = np.apply_along_axis(math.fsum, 2, terms)
-        bound = 9 * eps * np.abs(terms).sum(axis=2)
-        for y in (got, mac):
-            assert y.dtype == np.float32
-            assert (np.abs(y - exact) <= bound).all()
+        w = rng.normal(size=shape).astype(np.float32)
+        cols, _ = np_pad_columns(x.astype(F64), kh, kw, p, stride)
+        n, c, _, _, oh, ow = cols.shape
+        g = rng.normal(size=(n, c_out, oh, ow)).astype(np.float32)
+        y, gx, gw = _run(lambda *ts: (conv2d(*ts, stride=stride, padding=p,
+                                             groups=groups),), (x, w), g)
+        w64, g64 = w.astype(F64), g.astype(F64)
+        if groups > 1:  # channel c against its own weight row
+            terms = cols * w64.reshape(1, c, kh, kw, 1, 1)
+        else:
+            terms = cols[:, None] * w64.reshape(1, *shape, 1, 1)
+        checks = [(y, terms.reshape(n, c_out, -1, oh, ow), 2)]
+        if kind == "depthwise":
+            checks.append((mac_depthwise(x, w, p, stride), checks[0][1], 2))
+        if kind == "dense3x3":
+            # (n, c_out, c, kh, kw, oh, ow) products of g with the columns
+            tw = cols[:, None] * g64[:, :, None, None, None]
+            checks.append((gw, np.moveaxis(tw, 0, 4).reshape(*shape, -1), 4))
+            # each tap's share of g, at the padded pixel that tap read
+            tx = np.zeros((n, c, 9 + 2 * p, 8 + 2 * p, c_out, kh, kw))
+            for i in range(kh):
+                for j in range(kw):
+                    share = g64[:, :, None] * w64[:, :, i, j, None, None]
+                    tx[:, :, i:i + stride * oh:stride,
+                       j:j + stride * ow:stride, :, i, j] = \
+                        np.moveaxis(share, 1, 4)
+            checks.append((gx, tx[:, :, p:p + 9, p:p + 8].reshape(
+                n, c, 9, 8, -1), 4))
+        for got, t, axis in checks:
+            exact, bound = exact_and_bound(t, axis)
+            assert got.dtype == np.float32 and got.shape == exact.shape
+            assert (np.abs(got - exact) <= bound).all(), (kind, stride, p)
 
 
 # The strided conv and the two pools as they ran before every windowed op

@@ -383,15 +383,45 @@ def test_predict_and_evaluate_leave_the_frames_alone():
         assert s.frames.tobytes() == k.tobytes()
 
 
+def in_order_report(model, samples):
+    """(means, n_samples, hd95_excluded) from a loop that adds each
+    sample's metrics in split order, as ``repr`` so NaN compares equal."""
+    sums = {r: {"dsc": 0.0, "iou": 0.0, "hd": 0.0, "hd_n": 0}
+            for r in ("lumen", "eem")}
+    excluded = set()
+    for s in samples:
+        ms = sample_metrics(predict_label(model, s.frames), s.label,
+                            s.spacing_mm)
+        for region, m in ms.items():
+            sums[region]["dsc"] += m.dsc
+            sums[region]["iou"] += m.iou
+            if m.hd95_mm is None:
+                excluded.add(s.id)
+            else:
+                sums[region]["hd"] += m.hd95_mm
+                sums[region]["hd_n"] += 1
+    means = [v for r in ("lumen", "eem") for v in (
+        sums[r]["dsc"] / len(samples), sums[r]["iou"] / len(samples),
+        sums[r]["hd"] / sums[r]["hd_n"] if sums[r]["hd_n"] else math.nan)]
+    return repr((means, len(samples), len(excluded)))
+
+
+def report_key(rep):
+    return repr(([rep.lumen_dsc, rep.lumen_iou, rep.lumen_hd95_mm,
+                  rep.eem_dsc, rep.eem_iou, rep.eem_hd95_mm],
+                 rep.n_samples, rep.hd95_excluded))
+
+
 def test_evaluate_folds_each_block_once_and_clears_the_memo(monkeypatch):
     net = CSDN(NetworkConfig.micro(), seed=0)
     samples = [generate_phantom(s + 40, 64, sample_id=f"b{s}")
                for s in range(3)]
-    folded = []
+    folded, memos = [], []
     eval_affine = BatchNorm2d.eval_affine
 
     def spy(self):
         folded.append(self)
+        memos.append(model._folds)
         return eval_affine(self)
 
     monkeypatch.setattr(BatchNorm2d, "eval_affine", spy)
@@ -401,18 +431,25 @@ def test_evaluate_folds_each_block_once_and_clears_the_memo(monkeypatch):
     blocks = [n for n, _ in net.named_buffers()
               if n.endswith(".bn.running_mean") and not n.startswith("aux")]
     assert len(per_forward) == len(set(per_forward)) == len(blocks)
+    # a lone predict_label keeps no memo: each block runs once
+    assert memos == [None] * len(blocks)
     folded.clear()
     rep = evaluate(net, samples)
     assert folded == per_forward  # once per evaluate, not once per sample
     assert model._folds is None
 
-    # outside any scope, a no-grad eval forward folds on every call
+    # so does fps_benchmark, over its warm-up and timed iterations
     folded.clear()
-    net.eval()
-    with no_grad():
+    fps_benchmark(net, (64, 64), warmup_iters=2, timed_iters=10)
+    assert folded == per_forward
+    assert model._folds is None and net.training
+
+    # outside any scope, an eval_mode forward (no graph) folds on every call
+    folded.clear()
+    with metrics.eval_mode(net):
         net(Tensor(samples[0].frames[None]))
         net(Tensor(samples[0].frames[None]))
-    net.train()
+    assert net.training
     assert folded == per_forward * 2
 
     # the report is the one a sample-by-sample loop gives, bit for bit
@@ -420,6 +457,7 @@ def test_evaluate_folds_each_block_once_and_clears_the_memo(monkeypatch):
             for region, m in sample_metrics(predict_label(net, s.frames),
                                             s.label, s.spacing_mm).items()]
     assert repr(rep.rows) == repr(rows)
+    assert report_key(rep) == in_order_report(net, samples)
 
     def fails(self, x, target_hw):
         raise RuntimeError("forward failed")
@@ -461,6 +499,19 @@ def test_label_map_matches_argmax_with_planted_ties(monkeypatch, classes):
     assert got[-1, -1] == 0
 
 
+class CyclingModel(ConstModel):
+    """Forward stub whose winning class steps through ``classes``."""
+
+    def __init__(self, classes):
+        super().__init__(classes[0])
+        self.classes, self.calls = classes, 0
+
+    def __call__(self, x):
+        self.class_id = self.classes[self.calls % len(self.classes)]
+        self.calls += 1
+        return super().__call__(x)
+
+
 def test_evaluate_counts_empty_prediction_samples():
     samples = [generate_phantom(s, 64, sample_id=f"p{s}") for s in range(3)]
     rep = evaluate(ConstModel(0), samples)
@@ -470,6 +521,13 @@ def test_evaluate_counts_empty_prediction_samples():
     assert math.isnan(rep.lumen_hd95_mm)
     assert rep.lumen_dsc == 0.0
     assert "excluded from hd95" in rep.summary()
+    assert report_key(rep) == in_order_report(ConstModel(0), samples)
+    # empty lumen (class 1) and empty lumen and eem (class 0) among full ones
+    samples = [generate_phantom(s, 64, sample_id=f"c{s}") for s in range(7)]
+    rep = evaluate(CyclingModel([2, 0, 1, 2]), samples)
+    assert rep.hd95_excluded == 4
+    assert report_key(rep) == in_order_report(CyclingModel([2, 0, 1, 2]),
+                                              samples)
 
 
 def test_evaluate_full_prediction_hits_every_region():

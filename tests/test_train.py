@@ -333,13 +333,6 @@ def test_trailing_single_sample_is_never_built(tmp_path, monkeypatch):
     assert len(calls) == 2 * 8
 
 
-def test_train_max_steps(small_ds):
-    net = CSDN(NetworkConfig.micro(), seed=0)
-    logs = train(net, small_ds, micro_cfg(epochs=5), LossConfig(),
-                 quiet=True, max_steps=1)
-    assert len(logs) == 1
-
-
 def test_resume_matches_uninterrupted_run(small_ds, tmp_path):
     cfg4 = micro_cfg(epochs=4)
     straight = str(tmp_path / "straight")
@@ -369,16 +362,33 @@ def test_resume_matches_uninterrupted_run(small_ds, tmp_path):
         assert tr_a[key] == tr_b[key]
 
 
-def test_resume_after_a_crash_logs_as_the_straight_run(small_ds, tmp_path):
-    # checkpoints at epochs 1 and 3; the crashed run stops after logging
-    # epoch 2 (two steps an epoch), and its log ends in a torn row
+class Crash(Exception):
+    pass
+
+
+def test_resume_after_a_crash_logs_as_the_straight_run(small_ds, tmp_path,
+                                                        monkeypatch):
+    # checkpoints at epochs 1 and 3; the crashed run stops in Adam.step's
+    # 7th call, after logging epoch 2 (two steps an epoch), and its log
+    # ends in a torn row
     from csdn.serial import load_checkpoint
     cfg = micro_cfg(epochs=4, checkpoint_every=2)
     straight, crashed = str(tmp_path / "straight"), str(tmp_path / "crash")
     train(CSDN(NetworkConfig.micro(), seed=0), small_ds, cfg, LossConfig(),
           out_dir=straight, quiet=True)
-    train(CSDN(NetworkConfig.micro(), seed=0), small_ds, cfg, LossConfig(),
-          out_dir=crashed, quiet=True, max_steps=6)
+    step, calls = Adam.step, []
+
+    def crashes_on_7th(self, grads, lr):
+        calls.append(lr)
+        if len(calls) == 7:
+            raise Crash
+        step(self, grads, lr)
+
+    with monkeypatch.context() as m:
+        m.setattr(Adam, "step", crashes_on_7th)
+        with pytest.raises(Crash):
+            train(CSDN(NetworkConfig.micro(), seed=0), small_ds, cfg,
+                  LossConfig(), out_dir=crashed, quiet=True)
     log = os.path.join(crashed, "log.csv")
     with open(log) as fh:
         assert [r.split(",")[0] for r in fh.read().splitlines()[1:]] \
@@ -398,10 +408,90 @@ def test_resume_after_a_crash_logs_as_the_straight_run(small_ds, tmp_path):
                                            "log.csv"]
 
 
+# ``python -c _KILL_AT POINT N ARGS``: run ``csdn ARGS`` and SIGKILL the
+# process at the Nth call of POINT: Adam.step (mid-step), the os.replace
+# that renames a written last.ckpt into place (mid-checkpoint), or
+# save_checkpoint for last.ckpt (after the epoch's log row, before its
+# checkpoint)
+_KILL_AT = """
+import os, signal, sys
+from csdn import cli, train
+
+point, nth, calls = sys.argv[1], int(sys.argv[2]), []
+
+def kill_at_nth(fn, counts=lambda *args: True):
+    def wrapper(*args, **kwargs):
+        if counts(*args):
+            calls.append(None)
+            if len(calls) == nth:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+    return wrapper
+
+def to_last(*args):
+    return args[-1].endswith("last.ckpt")
+
+if point == "step":
+    train.Adam.step = kill_at_nth(train.Adam.step)
+elif point == "replace":
+    os.replace = kill_at_nth(os.replace, to_last)
+else:
+    train.save_checkpoint = kill_at_nth(
+        train.save_checkpoint, lambda path, *args: path.endswith("last.ckpt"))
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+KILL_RUN_CFG = ("preset = micro\nepochs = 6\nbatch_size = 2\n"
+                "checkpoint_every = 2\nval_every = 2\naugment = mild\n")
+
+
+@pytest.fixture(scope="module")
+def kill_run(tmp_path_factory):
+    """(args of a run that saves last.ckpt three times in six epochs of two
+    steps, the straight run's directory)."""
+    from csdn.cli import main
+    root = tmp_path_factory.mktemp("kill")
+    assert main(["gen-data", "--out", str(root / "ds"), "--n-train", "4",
+                 "--n-val", "1", "--size", "64", "--seed", "0"]) == 0
+    (root / "run.cfg").write_text(KILL_RUN_CFG)
+    args = ["train", "--data", str(root / "ds"), "--config",
+            str(root / "run.cfg"), "--quiet"]
+    assert main(args + ["--out", str(root / "straight")]) == 0
+    return args, str(root / "straight")
+
+
+# kill point, its calls that follow the first checkpoint (12 steps, 3
+# checkpoints), and the seed that draws the one killed at
+@pytest.mark.parametrize("point, first, last, seed", [
+    ("step", 5, 12, 0), ("replace", 2, 3, 1), ("row", 2, 3, 2)])
+def test_sigkill_then_resume_gives_the_straight_run(kill_run, tmp_path,
+                                                     point, first, last,
+                                                     seed):
+    from csdn.cli import main
+    args, straight = kill_run
+    nth = int(np.random.default_rng(seed).integers(first, last + 1))
+    out = str(tmp_path / "killed")
+    src = os.path.dirname(os.path.dirname(csdn.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_AT, point, str(nth), *args, "--out",
+         out], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == -9, proc.stderr
+    # only the mid-checkpoint kill leaves its temp file behind
+    assert (".last.ckpt.tmp" in os.listdir(out)) == (point == "replace")
+    ckpt = os.path.join(out, "last.ckpt")
+    assert main(args + ["--out", out, "--resume", ckpt]) == 0
+    for name in ("log.csv", "last.ckpt"):
+        with open(os.path.join(straight, name), "rb") as a, \
+                open(os.path.join(out, name), "rb") as b:
+            assert a.read() == b.read(), (name, nth)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(straight))
+
+
 def test_nan_parameter_never_reaches_a_checkpoint(small_ds, tmp_path,
                                                   monkeypatch):
-    # a step that leaves a parameter NaN ends the epoch (max_steps), so the
-    # checkpoint is the first thing to read the weights after it
+    # a step that leaves a parameter NaN ends the epoch (one step of 6), so
+    # the checkpoint is the first thing to read the weights after it
     out = str(tmp_path / "run")
     step = Adam.step
 
@@ -411,8 +501,8 @@ def test_nan_parameter_never_reaches_a_checkpoint(small_ds, tmp_path,
 
     monkeypatch.setattr(Adam, "step", poisoned)
     with pytest.raises(AutodiffError, match="head.point.bias: non-finite"):
-        train(CSDN(NetworkConfig.micro(), seed=0), small_ds, micro_cfg(),
-              LossConfig(), out_dir=out, quiet=True, max_steps=1)
+        train(CSDN(NetworkConfig.micro(), seed=0), small_ds,
+              micro_cfg(batch_size=6), LossConfig(), out_dir=out, quiet=True)
     assert sorted(os.listdir(out)) == ["log.csv"]
 
 
