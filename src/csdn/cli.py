@@ -25,7 +25,7 @@ from .metrics import (boundary_pixels, evaluate, fps_benchmark, predict_label,
                       region_masks, write_report_csv)
 from .model import CSDN, NetworkConfig, count_parameters
 from .phantom import (DEFAULT_SPACING_MM, Dataset, generate_dataset,
-                      read_sample_dir, write_pgm)
+                      read_sample_dir, read_text_lines, write_pgm)
 from .serial import FormatError, load_weights
 from .train import TrainConfig, check_train_split, load_resume
 from .train import train as run_training
@@ -79,9 +79,9 @@ _KEYS.update((f.name, _PARSERS[f.type])
              for f in dataclasses.fields(cls))
 
 
-def _parse_kv(text: str, path: str) -> dict[str, tuple[str, int]]:
+def _parse_kv(lines: list[str], path: str) -> dict[str, tuple[str, int]]:
     vals: dict[str, tuple[str, int]] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -107,8 +107,11 @@ def load_run_config(path: str | None
     if path is not None:
         if not os.path.exists(path):
             raise DataError(f"no config file at {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = _parse_kv(fh.read(), path)
+        try:
+            lines = read_text_lines(path)
+        except ValueError as e:  # not UTF-8 text
+            raise UsageError(str(e)) from None
+        raw = _parse_kv(lines, path)
 
     cooked: dict[str, object] = {}
     for key, (val, line) in raw.items():

@@ -17,12 +17,10 @@ the smaller boundary gives the rows and the larger one lies along each
 band, where the row minima run over contiguous memory and a band holds
 few rows (a predicted boundary can be several times the true contour).
 On masks of side s every product and partial sum is an integer of
-magnitude at most 8 (s-1)^2, below 2^24 up to s = F32_SIDE,
-so the GEMM runs in float32, d2 is exact and its square root is the value
-an all-pairs brute force or a kd-tree gives. cKDTree takes over on larger
-masks, and above KD_TREE_PAIRS point pairs, where the matrix costs more
-than two kd-tree queries do (two noisy masks, or two long nearby
-contours).
+magnitude at most 8 (s-1)^2: below 2^24 up to s = F32_SIDE, where the
+GEMM runs in float32, and below 2^53 on any larger mask, where it runs in
+float64. Either way d2 is exact and its square root is the value an
+all-pairs brute force gives, for every pair of masks.
 """
 
 from __future__ import annotations
@@ -32,12 +30,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .autodiff import Tensor, no_grad
 from .model import IN_FRAMES, fold_scope
 
-KD_TREE_PAIRS = 1 << 21   # hd95 uses kd-trees above this many point pairs
 GEMM_BAND_BYTES = 1 << 19  # bytes of the distance matrix filled at a time
 F32_SIDE = 1449            # largest mask side with 8 (s-1)^2 < 2^24
 
@@ -102,18 +98,18 @@ def percentile_95(values: np.ndarray) -> float:
     return float(d[lo] + (d[hi] - d[lo]) * (pos - lo))
 
 
-def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray):
+def _nearest_sq_gemm(pa: np.ndarray, pb: np.ndarray, dtype):
     """Squared distance from each point of pa to its nearest in pb, and from
     each point of pb to its nearest in pa, as float64, from d2 = |p|^2 -
-    2 p.q + |q|^2 in float32, filled one band of about GEMM_BAND_BYTES at
-    a time."""
+    2 p.q + |q|^2 in ``dtype``, filled one band of about GEMM_BAND_BYTES
+    at a time."""
     lhs = np.column_stack([pa, np.ones(len(pa)), (pa * pa).sum(axis=1)])
     rhs = np.vstack([-2.0 * pb.T, (pb * pb).sum(axis=1), np.ones(len(pb))])
-    lhs, rhs = lhs.astype(np.float32), rhs.astype(np.float32)
+    lhs, rhs = lhs.astype(dtype), rhs.astype(dtype)
     rows = max(1, GEMM_BAND_BYTES // (len(pb) * lhs.itemsize))
-    band = np.empty((min(rows, len(pa)), len(pb)), dtype=np.float32)
-    d2_ab = np.empty(len(pa), dtype=np.float32)
-    d2_ba = np.full(len(pb), np.inf, dtype=np.float32)
+    band = np.empty((min(rows, len(pa)), len(pb)), dtype=dtype)
+    d2_ab = np.empty(len(pa), dtype=dtype)
+    d2_ba = np.full(len(pb), np.inf, dtype=dtype)
     for i in range(0, len(pa), rows):
         part = lhs[i:i + rows]
         d2 = np.matmul(part, rhs, out=band[:len(part)])
@@ -130,11 +126,8 @@ def hd95(a: np.ndarray, b: np.ndarray, spacing_mm: float) -> float:
     # pooled, so the order is free: the smaller set gives the band's rows
     pa, pb = sorted((boundary_pixels(a).astype(np.float64),
                      boundary_pixels(b).astype(np.float64)), key=len)
-    if len(pa) * len(pb) > KD_TREE_PAIRS or max(a.shape) > F32_SIDE:
-        d_ab = cKDTree(pb).query(pa)[0]
-        d_ba = cKDTree(pa).query(pb)[0]
-    else:
-        d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb))
+    dtype = np.float32 if max(a.shape) <= F32_SIDE else np.float64
+    d_ab, d_ba = map(np.sqrt, _nearest_sq_gemm(pa, pb, dtype))
     return percentile_95(np.concatenate([d_ab, d_ba])) * spacing_mm
 
 

@@ -376,10 +376,9 @@ def save_dataset(root: str, train: list[Sample], val: list[Sample],
             fh.write(f"{sid} val\n")
 
 
-def load_manifest(root: str) -> DatasetManifest:
-    path = os.path.join(root, "manifest.txt")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing manifest {path}")
+def read_text_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, each decoded on its own so a bad
+    byte is reported as ``path:line``."""
     with open(path, "rb") as fh:
         raw = fh.read().splitlines()
     lines = []
@@ -389,6 +388,14 @@ def load_manifest(root: str) -> DatasetManifest:
         except UnicodeDecodeError as e:
             raise ValueError(f"{path}:{i}: not UTF-8 text: {e.reason} at "
                              f"byte {e.start + 1} of the line") from None
+    return lines
+
+
+def load_manifest(root: str) -> DatasetManifest:
+    path = os.path.join(root, "manifest.txt")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"missing manifest {path}")
+    lines = read_text_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty manifest")
     head = lines[0].split()
@@ -404,7 +411,8 @@ def load_manifest(root: str) -> DatasetManifest:
     if not (math.isfinite(spacing) and spacing > 0) or size < 1:
         raise ValueError(f"{path}:1: need a finite spacing > 0 and a size "
                          f">= 1, got spacing={spacing} size={size}")
-    train_ids, val_ids = [], []
+    ids: dict[str, list[str]] = {"train": [], "val": []}
+    first_line: dict[str, int] = {}
     for i, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             continue
@@ -413,16 +421,15 @@ def load_manifest(root: str) -> DatasetManifest:
             raise ValueError(f"{path}:{i}: expected '<id> <split>', "
                              f"got {ln!r}")
         sid, split = parts
-        if split == "train":
-            train_ids.append(sid)
-        elif split == "val":
-            val_ids.append(sid)
-        else:
+        if split not in ids:
             raise ValueError(f"{path}:{i}: unknown split {split!r}")
-    if set(train_ids) & set(val_ids):
-        raise ValueError(f"{path}: train and val ids overlap")
+        if sid in first_line:  # in either split
+            raise ValueError(f"{path}:{i}: sample id {sid!r} already listed "
+                             f"at line {first_line[sid]}")
+        first_line[sid] = i
+        ids[split].append(sid)
     return DatasetManifest(root=root, spacing_mm=spacing, size=size,
-                           train_ids=train_ids, val_ids=val_ids)
+                           train_ids=ids["train"], val_ids=ids["val"])
 
 
 class Dataset:

@@ -25,7 +25,7 @@ rate = 100.0 * {scale} * (1.0 + 0.01 * (n % 3))
 print("stub run")
 metrics = {{"samples_per_s": {{"value": rate, "unit": "samples/s"}},
            "latency_p50_ms": {{"value": 1000.0 / rate, "unit": "ms"}}}}
-print(json.dumps({{"correct": True, "attempted": 10, "failed": 0,
+print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed},
                   "metrics": metrics}}))
 """
 
@@ -40,10 +40,11 @@ BENCH = {
 }
 
 
-def stub_tree(root: Path, side: str, scale: float, log: Path) -> Path:
+def stub_tree(root: Path, side: str, scale: float, log: Path,
+              failed: int = 0) -> Path:
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        STUB.format(log=str(log), side=side, scale=scale))
+        STUB.format(log=str(log), side=side, scale=scale, failed=failed))
     (root / "BENCHMARK.json").write_text(json.dumps(BENCH))
     return root
 
@@ -70,6 +71,7 @@ def test_sides_alternate_and_a_planted_slowdown_loses_its_pairs(tmp_path):
     assert [r["side"] for r in block["runs"]] == [
         {"fast": "parent", "slow": "change"}[s] for s in alternating]
     assert block["all_correct"]
+    assert block["failed_share"] == {"parent": 0.0, "change": 0.0}
     for name in ("samples_per_s", "latency_p50_ms"):
         s = block["summary"][name]
         assert s["change_wins_pairs"] == 0, name
@@ -83,6 +85,26 @@ def test_sides_alternate_and_a_planted_slowdown_loses_its_pairs(tmp_path):
     s = back["summary"]["samples_per_s"]
     assert s["change_wins_pairs"] == 4 and s["gain_shown"]
     assert s["within_bound"]
+
+
+def test_a_faster_change_that_fails_more_operations_shows_no_gain(tmp_path):
+    log = tmp_path / "log"
+    log.write_text("")
+    parent = stub_tree(tmp_path / "parent", "parent", 1.0, log, failed=1)
+    change = stub_tree(tmp_path / "change", "change", 1.25, log, failed=2)
+    block = ab_pairs.ab_pairs(parent, change, "w1", 7, 0.5, 4,
+                              log=io.StringIO())
+    assert block["failed_share"] == {"parent": 0.1, "change": 0.2}
+    for name in ("samples_per_s", "latency_p50_ms"):
+        s = block["summary"][name]
+        assert s["change_wins_pairs"] == 4 and s["worse_by"] < -0.1, name
+        assert not s["gain_shown"], name
+    # the same speed-up at the parent's failed share shows its gain
+    level = stub_tree(tmp_path / "level", "level", 1.25, log, failed=1)
+    block = ab_pairs.ab_pairs(parent, level, "w1", 7, 0.5, 4,
+                              log=io.StringIO())
+    assert block["failed_share"] == {"parent": 0.1, "change": 0.1}
+    assert block["summary"]["samples_per_s"]["gain_shown"]
 
 
 def test_a_run_without_a_result_line_names_its_tree(tmp_path):

@@ -141,6 +141,15 @@ def test_missing_config_file(tmp_path):
         load_run_config(str(tmp_path / "absent.cfg"))
 
 
+def test_config_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"preset = micro\nepochs = \xff3\n")
+    assert main(["gradcheck", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:2: not UTF-8 text: invalid start byte at byte 10 "
+        "of the line"]
+
+
 def test_constraint_violations_point_at_file(tmp_path):
     path = write_cfg(tmp_path, "lr_factor = 1.5\n")
     with pytest.raises(UsageError, match="lr_factor"):

@@ -311,9 +311,9 @@ def test_conv_float32_error_within_dot_product_bound(kind, stride):
     # against the exact sum of each output's float64 products (a float32
     # product is exact in float64), float32 sums in any order, the
     # depthwise k*k multiply-accumulate too, err by at most n_terms * eps *
-    # sum |w * x|; the dense 3x3's input and weight gradients likewise,
-    # their sums running over the output channels and taps, and over the
-    # batch and the map
+    # sum |w * x|; the input and weight gradients of each kind likewise,
+    # their sums running over the output channels that read an input
+    # channel and the taps, and over the batch and the map
     rng = np.random.Generator(np.random.PCG64(82))
     shape, groups, paddings = CONV_KINDS[kind]
     c_out, _, kh, kw = shape
@@ -326,27 +326,26 @@ def test_conv_float32_error_within_dot_product_bound(kind, stride):
         y, gx, gw = _run(lambda *ts: (conv2d(*ts, stride=stride, padding=p,
                                              groups=groups),), (x, w), g)
         w64, g64 = w.astype(F64), g.astype(F64)
-        if groups > 1:  # channel c against its own weight row
-            terms = cols * w64.reshape(1, c, kh, kw, 1, 1)
-        else:
-            terms = cols[:, None] * w64.reshape(1, *shape, 1, 1)
+        # (n, c_out, c_in, kh, kw, oh, ow) columns each output channel
+        # reads: depthwise, channel c alone; dense, every channel
+        cols = cols[:, :, None] if groups > 1 else cols[:, None]
+        terms = cols * w64.reshape(1, *shape, 1, 1)
         checks = [(y, terms.reshape(n, c_out, -1, oh, ow), 2)]
         if kind == "depthwise":
             checks.append((mac_depthwise(x, w, p, stride), checks[0][1], 2))
-        if kind == "dense3x3":
-            # (n, c_out, c, kh, kw, oh, ow) products of g with the columns
-            tw = cols[:, None] * g64[:, :, None, None, None]
-            checks.append((gw, np.moveaxis(tw, 0, 4).reshape(*shape, -1), 4))
-            # each tap's share of g, at the padded pixel that tap read
-            tx = np.zeros((n, c, 9 + 2 * p, 8 + 2 * p, c_out, kh, kw))
-            for i in range(kh):
-                for j in range(kw):
-                    share = g64[:, :, None] * w64[:, :, i, j, None, None]
-                    tx[:, :, i:i + stride * oh:stride,
-                       j:j + stride * ow:stride, :, i, j] = \
-                        np.moveaxis(share, 1, 4)
-            checks.append((gx, tx[:, :, p:p + 9, p:p + 8].reshape(
-                n, c, 9, 8, -1), 4))
+        tw = cols * g64[:, :, None, None, None]
+        checks.append((gw, np.moveaxis(tw, 0, 4).reshape(*shape, -1), 4))
+        # each tap's share of g, at the padded pixel that tap read, over
+        # the output channels that read the pixel's channel
+        tx = np.zeros((n, c, 9 + 2 * p, 8 + 2 * p, c_out // groups, kh, kw))
+        for i in range(kh):
+            for j in range(kw):
+                share = g64[:, :, None] * w64[:, :, i, j, None, None]
+                tx[:, :, i:i + stride * oh:stride,
+                   j:j + stride * ow:stride, :, i, j] = \
+                    np.moveaxis(share, 2 if groups > 1 else 1, 4)
+        checks.append((gx, tx[:, :, p:p + 9, p:p + 8].reshape(
+            n, c, 9, 8, -1), 4))
         for got, t, axis in checks:
             exact, bound = exact_and_bound(t, axis)
             assert got.dtype == np.float32 and got.shape == exact.shape

@@ -2,6 +2,9 @@
 implementation, plus report assembly and the throughput probe."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -185,13 +188,13 @@ def hd95_cases():
         yield random_mask(rng, h, w, 0.5), random_mask(rng, h, w, 0.5)
 
 
-@pytest.mark.parametrize("pair_limit, band", [
-    pytest.param(1 << 62, metrics.GEMM_BAND_BYTES, id="gemm"),
-    pytest.param(1 << 62, 1, id="gemm-one-row-bands"),
-    pytest.param(0, metrics.GEMM_BAND_BYTES, id="kd-tree"),
+@pytest.mark.parametrize("f32_side, band", [
+    pytest.param(metrics.F32_SIDE, metrics.GEMM_BAND_BYTES, id="gemm"),
+    pytest.param(metrics.F32_SIDE, 1, id="gemm-one-row-bands"),
+    pytest.param(0, metrics.GEMM_BAND_BYTES, id="float64"),
 ])
-def test_hd95_matches_brute_force_exactly(monkeypatch, pair_limit, band):
-    monkeypatch.setattr(metrics, "KD_TREE_PAIRS", pair_limit)
+def test_hd95_matches_brute_force_exactly(monkeypatch, f32_side, band):
+    monkeypatch.setattr(metrics, "F32_SIDE", f32_side)
     monkeypatch.setattr(metrics, "GEMM_BAND_BYTES", band)
     for i, (a, b) in enumerate(hd95_cases()):
         got = hd95(a, b, 0.02)
@@ -203,21 +206,15 @@ def test_hd95_matches_brute_force_exactly(monkeypatch, pair_limit, band):
 def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
     # single pixels in the corners give the largest d2 (corner to corner)
     # and the largest partial sums (far corner against far corner); one
-    # pixel past the bound, kd-trees take over
-    paths = []
+    # pixel past the bound, the GEMM runs in float64
+    dtypes = []
     gemm = metrics._nearest_sq_gemm
 
-    def spy(pa, pb):
-        paths.append("gemm")
-        return gemm(pa, pb)
-
-    class SpyTree(metrics.cKDTree):
-        def __init__(self, data):
-            paths.append("kd-tree")
-            super().__init__(data)
+    def spy(pa, pb, dtype):
+        dtypes.append(dtype)
+        return gemm(pa, pb, dtype)
 
     monkeypatch.setattr(metrics, "_nearest_sq_gemm", spy)
-    monkeypatch.setattr(metrics, "cKDTree", SpyTree)
     for side in (metrics.F32_SIDE, metrics.F32_SIDE + 1):
         e = side - 1
         pa = np.array([(0, 0), (0, 1), (e, e)], dtype=np.float64)
@@ -231,16 +228,16 @@ def test_hd95_float32_gemm_is_exact_up_to_its_side_bound(monkeypatch):
         want = percentile_95(np.concatenate(
             [np.sqrt(d2.min(axis=1)), np.sqrt(d2.min(axis=0))])) * 0.02
         assert hd95(*masks, 0.02) == want
-    assert paths == ["gemm", "kd-tree", "kd-tree"]
+    assert dtypes == [np.float32, np.float64]
 
 
 def test_hd95_gives_the_gemm_the_smaller_set_as_rows(monkeypatch):
     shapes = []
     gemm = metrics._nearest_sq_gemm
 
-    def spy(pa, pb):
+    def spy(pa, pb, dtype):
         shapes.append((len(pa), len(pb)))
-        return gemm(pa, pb)
+        return gemm(pa, pb, dtype)
 
     monkeypatch.setattr(metrics, "_nearest_sq_gemm", spy)
     small, large = disc(64, 64, 30, 33, 6), disc(64, 64, 32, 30, 20)
@@ -251,25 +248,35 @@ def test_hd95_gives_the_gemm_the_smaller_set_as_rows(monkeypatch):
     assert shapes == [(n_small, n_large)] * 2
 
 
-def test_hd95_takes_kd_trees_only_above_the_pair_limit(monkeypatch):
-    built = []
+# hd95 of two saved masks, printed as a hex float
+_HD95_CHILD = """import sys
+import numpy as np
+from csdn.metrics import hd95
+print(hd95(np.load(sys.argv[1]), np.load(sys.argv[2]), 1.0).hex())
+"""
 
-    class CountingTree(metrics.cKDTree):
-        def __init__(self, data):
-            built.append(len(data))
-            super().__init__(data)
 
-    monkeypatch.setattr(metrics, "cKDTree", CountingTree)
-    eem = region_masks(generate_phantom(3, 256).label)[1]
-    shifted = np.roll(eem, (3, -2), axis=(0, 1))
-    assert hd95(eem, shifted, 1.0) == brute_hd95(eem, shifted, 1.0)
-    assert built == []
-    rng = np.random.Generator(np.random.PCG64(4))
-    a, b = random_mask(rng, 256, 256), random_mask(rng, 256, 256)
-    assert len(boundary_pixels(a)) * len(boundary_pixels(b)) \
-        > metrics.KD_TREE_PAIRS
-    hd95(a, b, 1.0)
-    assert len(built) == 2
+def test_hd95_is_exact_on_the_noisy_lumen_that_crashed_kd_trees(tmp_path):
+    # a random-init desk net's lumen (4,422 boundary points) against a
+    # disc (564): 2.5e6 pairs, above the 2^21 where hd95 once switched to
+    # cKDTree, whose build segfaulted on these points under the DAZ that
+    # importing csdn sets; a child process runs hd95, so a crash fails
+    # the test instead of ending pytest
+    net = CSDN(NetworkConfig.desk(), seed=21)
+    lumen = region_masks(predict_label(
+        net, generate_phantom(21004, 256).frames))[0]
+    ring = disc(256, 256, 128, 128, 100)
+    assert (len(boundary_pixels(lumen)), len(boundary_pixels(ring))) \
+        == (4422, 564)
+    paths = [str(tmp_path / "lumen.npy"), str(tmp_path / "disc.npy")]
+    np.save(paths[0], lumen)
+    np.save(paths[1], ring)
+    src = os.path.dirname(os.path.dirname(metrics.__file__))
+    proc = subprocess.run([sys.executable, "-c", _HD95_CHILD, *paths],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert float.fromhex(proc.stdout) == brute_hd95(lumen, ring, 1.0)
 
 
 # -- label decomposition ------------------------------------------------------

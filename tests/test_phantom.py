@@ -219,10 +219,6 @@ def test_manifest_errors(tmp_path, capsys):
         fh.write("csdn-dataset v1 spacing=0.02 size=64\nx test\n")
     with pytest.raises(ValueError, match="unknown split"):
         load_manifest(root)
-    with open(mpath, "w") as fh:
-        fh.write("csdn-dataset v1 spacing=0.02 size=64\na train\na val\n")
-    with pytest.raises(ValueError, match="overlap"):
-        load_manifest(root)
     # each names the file and the line
     for text, line, msg in (
             ("csdn-dataset v1 spacing0.02 size=64\n", 1, "bad manifest header"),
@@ -235,7 +231,10 @@ def test_manifest_errors(tmp_path, capsys):
             ("csdn-dataset v1 spacing=inf size=64\n", 1, "finite spacing > 0"),
             ("csdn-dataset v1 spacing=0.02 size=0\n", 1, "size >= 1"),
             ("csdn-dataset v1 spacing=0.02 size=64\na train\n\nb val x\n",
-             4, "expected '<id> <split>'")):
+             4, "expected '<id> <split>'"),
+            # an id in both splits is listed twice
+            ("csdn-dataset v1 spacing=0.02 size=64\na train\na val\n", 3,
+             "sample id 'a' already listed at line 2")):
         with open(mpath, "w") as fh:
             fh.write(text)
         with pytest.raises(ValueError, match=msg) as err:
@@ -267,6 +266,25 @@ def test_manifest_that_is_not_utf8_names_its_line(tmp_path):
         load_manifest(root)
     assert str(err.value) == (f"{mpath}:3: not UTF-8 text: invalid "
                               "continuation byte at byte 6 of the line")
+
+
+def test_manifest_that_lists_an_id_twice_names_both_lines(tmp_path, capsys):
+    # a repeat would load the sample twice and train on it twice an epoch
+    root = str(tmp_path / "ds")
+    generate_dataset(root, 2, 1, 64, seed=7)
+    mpath = os.path.join(root, "manifest.txt")
+    with open(mpath, "a") as fh:
+        fh.write("val0000 val\n")
+    with pytest.raises(ValueError) as err:
+        load_manifest(root)
+    assert str(err.value) == (f"{mpath}:5: sample id 'val0000' already "
+                              "listed at line 4")
+    # through the CLI: exit 2 with one error line
+    assert main(["train", "--data", root, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {mpath}:5: sample id 'val0000' already listed " \
+        "at line 4\n"
 
 
 def fuzzed(blob: bytes, rng: np.random.Generator, flips: int):

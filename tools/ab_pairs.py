@@ -15,8 +15,11 @@ and for each end-to-end metric each side's median, quartiles and range,
 the change/parent ratio of the medians, the pairs the change won (ties
 count for neither), ``worse_by`` (the change's median relative to the
 parent's, positive when worse) against the metric's bound, and
-``gain_shown``: the change won at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range. The machine
+``gain_shown``: the change won at least nine tenths of the pairs, the
+medians differ by more than the parent's interquartile range, and the
+change failed no larger share of its operations than the parent (each
+side's ``failed_share``: failed over attempted, summed over its runs,
+is in the block beside the summary). The machine
 facts come from the details file the change's last run wrote, when there
 is one.
 """
@@ -59,7 +62,19 @@ def stats(values: list[float]) -> dict:
             "min": float(min(values)), "max": float(max(values))}
 
 
+def failed_share(runs: list[dict]) -> dict:
+    """Each side's failed operations over its attempted ones."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        attempted = sum(r["attempted"] for r in mine)
+        out[side] = sum(r["failed"] for r in mine) / max(1, attempted)
+    return out
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    share = failed_share(runs)
+    fails_more = share["change"] > share["parent"]
     by_pair: dict[int, dict[str, dict]] = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
@@ -80,7 +95,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "bound": spec["bound"], **side,
             "ratio_change_over_parent": ratio, "change_wins_pairs": wins,
             "worse_by": worse_by, "within_bound": worse_by <= spec["bound"],
-            "gain_shown": (wins >= 0.9 * len(pairs)
+            "gain_shown": (wins >= 0.9 * len(pairs) and not fails_more
                            and abs(chg - par) > iqr and worse_by < 0),
         }
     return out
@@ -100,7 +115,7 @@ def ab_pairs(parent: Path, change: Path, workload: str, seed: int,
             print(f"{workload} pair {pair} {side}: "
                   f"{json.dumps(r['metrics'])}", file=log, flush=True)
     return {"workload": workload, "seed": seed, "seconds": seconds,
-            "pairs": pairs, "runs": runs,
+            "pairs": pairs, "runs": runs, "failed_share": failed_share(runs),
             "summary": summarize(runs, bench["end_to_end"]),
             "all_correct": all(r["correct"] for r in runs)}
 
