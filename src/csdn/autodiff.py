@@ -124,7 +124,8 @@ class Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str):
-    if not np.isfinite(arr).all():
+    # the ufunc reduce skips the Python-level wrapper of ndarray.all
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise AutodiffError(f"non-finite values produced by {op}")
 
 

@@ -2,15 +2,17 @@
 
 Every windowed op pads its input once (``_pad``; -inf for max pooling,
 zeros otherwise) and reads it through one read-only (n, c, kh, kw, oh, ow)
-strided view (``_windows``), ow columns per output row at every stride.
+strided view (``_windows``, made by the ``np.ndarray`` constructor on the
+padded map's buffer), ow columns per output row at every stride.
 One correlation routine serves every conv forward and the stride-1 input
 gradient; a strided input gradient scatters the taps back (col2im).
 Average pooling is that correlation with a ones kernel over the in-bounds
 counts, with col2im as its backward; max pooling reads the same view.
-Dense and depthwise correlation run as one channel-major im2col (one copy
-of the view per band of output rows) and one matmul whose output is
-already NCHW; only a weight gradient keeps the columns, and any other conv
-fills and multiplies them one cache-sized band at a time. Bilinear resize
+Dense and depthwise correlation run as one channel-major im2col and one
+matmul whose output is already NCHW. Columns that a weight gradient keeps,
+or that fit in one cache-sized band (every conv of the desk net at 256),
+are one copy of the view and one matmul; larger ones are filled and
+multiplied one band of output rows at a time. Bilinear resize
 applies cached per-axis interpolation matrices with broadcast matmul, so
 the backward pass is the transposed product; bicubic resize only halves,
 as the network's front end does, and runs forward as its fixed 4-tap
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .autodiff import AutodiffError, Module, Tensor, grad_enabled, record
 
@@ -72,11 +73,16 @@ def _pad(x: np.ndarray, ph: int, pw: int, fill: float = 0.0) -> np.ndarray:
 
 
 def _windows(xp: np.ndarray, kh, kw, sh, sw, oh, ow) -> np.ndarray:
-    """Read-only (n, c, kh, kw, oh, ow) view of a padded map: [..., i, j,
-    y, x] is the pixel that tap (i, j) of output pixel (y, x) reads."""
+    """Read-only (n, c, kh, kw, oh, ow) view of a contiguous padded map:
+    [..., i, j, y, x] is the pixel that tap (i, j) of output pixel (y, x)
+    reads. Built by the ``np.ndarray`` constructor on xp's buffer, which
+    checks the strides against it, rather than ``as_strided``, whose
+    ``__array_interface__`` round trip costs about 3x more a call."""
     sn, sc, sy, sx = xp.strides
-    return as_strided(xp, xp.shape[:2] + (kh, kw, oh, ow),
-                      (sn, sc, sy, sx, sy * sh, sx * sw), writeable=False)
+    win = np.ndarray(xp.shape[:2] + (kh, kw, oh, ow), xp.dtype, xp, 0,
+                     (sn, sc, sy, sx, sy * sh, sx * sw))
+    win.flags.writeable = False
+    return win
 
 
 # Bytes of im2col columns filled and multiplied at a time when the columns
@@ -96,20 +102,27 @@ def _gemm_form(w: np.ndarray, n: int, c: int):
 
 def _im2col_gemm(win: np.ndarray, w: np.ndarray, keep: bool):
     """Correlation as one matmul (``_gemm_form``) over channel-major
-    columns copied from the ``_windows`` view ``win``, filled and
-    multiplied one band of output rows at a time with one copy per band.
-    A band's product is already NCHW and lands in its rows of the output.
-    With ``keep`` one band spans the map and its columns are returned, in
-    the matmul's view, for the weight gradient; otherwise bands of about
-    ``_BAND_BYTES`` and a multiple of 16 columns per image share one
-    buffer and None is returned. OpenBLAS kernels tile the columns by 4 to
-    16, so a band's sums are the one-band product's, bit for bit."""
+    columns copied from the ``_windows`` view ``win``. With ``keep``, or
+    when the columns fit in ``_BAND_BYTES``, the view is copied once into
+    them and one matmul makes the output; the columns are returned, in the
+    matmul's view, only with ``keep`` (for the weight gradient). Otherwise
+    they are filled and multiplied one band of output rows at a time in one
+    shared buffer, each band a multiple of 16 columns per image, and each
+    band's product, already NCHW, lands in its rows of the output. OpenBLAS
+    kernels tile the columns by 4 to 16, so a band's sums are the one-band
+    product's, bit for bit."""
     n, c, kh, kw, oh, ow = win.shape
     k = c * kh * kw
     wm, batch = _gemm_form(w, n, c)
-    step = 16 // math.gcd(ow, 16)
     rows = _BAND_BYTES // (n * k * ow * win.itemsize)
-    rows = oh if keep else min(oh, max(step, rows - rows % step))
+    if keep or rows >= oh:
+        cols = np.empty(win.shape, dtype=win.dtype)
+        cols[...] = win[..., 0:oh, :]
+        cols = cols.reshape(batch + (-1, oh * ow))
+        out = np.matmul(wm, cols).reshape(n, -1, oh, ow)
+        return out, cols if keep else None
+    step = 16 // math.gcd(ow, 16)
+    rows = max(step, rows - rows % step)
     buf = np.empty(n * k * rows * ow, dtype=win.dtype)
     out = np.empty(batch + (wm.shape[-2], oh * ow),
                    dtype=np.result_type(w, win.dtype))
@@ -117,9 +130,9 @@ def _im2col_gemm(win: np.ndarray, w: np.ndarray, keep: bool):
         r = min(rows, oh - r0)
         cols = buf[:n * k * r * ow].reshape(n, c, kh, kw, r, ow)
         cols[...] = win[..., r0:r0 + r, :]
-        cols = cols.reshape(batch + (-1, r * ow))
-        np.matmul(wm, cols, out=out[..., r0 * ow:(r0 + r) * ow])
-    return out.reshape(n, -1, oh, ow), cols if keep else None
+        np.matmul(wm, cols.reshape(batch + (-1, r * ow)),
+                  out=out[..., r0 * ow:(r0 + r) * ow])
+    return out.reshape(n, -1, oh, ow), None
 
 
 def _corr(x: np.ndarray, w: np.ndarray, stride, padding, keep: bool):
@@ -536,7 +549,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor | None,
 # -- layer modules ------------------------------------------------------------
 
 
-def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def he_uniform(rng: np.random.Generator | None, shape, fan_in: int
+               ) -> np.ndarray:
+    """He-uniform float32 init; zeros, drawing nothing, without a
+    generator (for a caller that fills the weight, as a weight file does)."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
@@ -555,7 +573,6 @@ class Conv2d(Module):
         self.groups = groups
         fan_in = (in_channels // groups) * kh * kw
         shape = (out_channels, in_channels // groups, kh, kw)
-        rng = rng or np.random.default_rng(0)
         self.weight = Tensor(he_uniform(rng, shape, fan_in),
                              requires_grad=True)
         if bias:

@@ -345,11 +345,13 @@ class AuxHead(Module):
 
 
 class CSDN(Module):
-    def __init__(self, config: NetworkConfig, seed: int = 0,
+    def __init__(self, config: NetworkConfig, seed: int | None = 0,
                  dtype=np.float32):
+        """With ``seed=None`` every conv weight starts at zero and nothing
+        is drawn: the tree for a caller that fills every tensor."""
         super().__init__()
         self.config = config
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
         down_c = IN_FRAMES * 4  # after the 2x2 space-to-channel step
         c3 = config.shallow_channels[2]
         s5 = config.ge_stage_channels[2]
@@ -398,4 +400,4 @@ class CSDN(Module):
 def count_parameters(config: NetworkConfig) -> int:
     """Number of learnable scalars in a network built from ``config``
     (BN running statistics excluded)."""
-    return CSDN(config, seed=0).num_parameters()
+    return CSDN(config, seed=None).num_parameters()

@@ -240,7 +240,7 @@ def _read_file(path: str, checkpoint: bool):
 
 
 def _build_net(cfg: dict, records: dict, dtype) -> CSDN:
-    net = CSDN(NetworkConfig(**cfg), seed=0, dtype=dtype)
+    net = CSDN(NetworkConfig(**cfg), seed=None, dtype=dtype)  # no init drawn
     known = dict(net.named_parameters())
     known.update(net.named_buffers())
     for name, arr in records.items():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from csdn.autodiff import (AutodiffError, Module, ParameterStore, Tensor,
-                           add, backward, mul, no_grad, record,
-                           reduce_sum, scale)
+                           _check_finite, add, backward, mul, no_grad,
+                           record, reduce_sum, scale)
 from csdn.gradcheck import finite_diff_check
 
 
@@ -164,6 +164,18 @@ def test_non_finite_forward_raises():
             mul(big, big)  # overflows to inf
         with pytest.raises(AutodiffError, match="non-finite"):
             scale(big, 1e10)
+
+
+def test_check_finite_catches_every_non_finite_kind_at_either_end():
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, -1):
+            for dtype in (np.float32, np.float64):
+                a = np.ones((2, 3, 4, 5), dtype=dtype)
+                a.reshape(-1)[at] = bad
+                with pytest.raises(AutodiffError, match="by probe"):
+                    _check_finite(a, "probe")
+    _check_finite(np.ones((2, 3, 4, 5), dtype=np.float32), "probe")
+    _check_finite(np.empty((0, 3, 4, 5), dtype=np.float32), "probe")
 
 
 def test_backward_with_store_returns_named_grads():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from scipy.signal import correlate2d
 
 from csdn import layers
@@ -352,6 +353,37 @@ def test_conv_float32_error_within_dot_product_bound(kind, stride):
             assert (np.abs(got - exact) <= bound).all(), (kind, stride, p)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_avg_pool_float32_error_within_sum_bound(stride):
+    # the in-bounds average pool, forward and input gradient, against the
+    # exact sum of its float64 terms x / count (forward) and g / count
+    # (gradient, over the taps that read each pixel), within n_terms * eps
+    # * sum |term|: twice the bound on a float32 sum in any order, which
+    # leaves room for the rounding of the division by the count
+    rng = np.random.Generator(np.random.PCG64(86))
+    for k, p in ((3, 1), (3, 0), (2, 0), (5, 2)):
+        x = rng.normal(size=(2, 3, 9, 8)).astype(np.float32)
+        cols, ow = np_pad_columns(x.astype(F64), k, k, p, stride)
+        n, c, _, _, oh, _ = cols.shape
+        cnt = np_pad_columns(np.ones((1, 1, 9, 8)), k, k, p, stride)[0]
+        cnt = cnt.sum(axis=(2, 3))
+        g = rng.normal(size=(n, c, oh, ow)).astype(np.float32)
+        y, gx = _run(lambda a: (pool2d("avg", a, k, stride, p),), (x,), g)
+        share = g.astype(F64) / cnt
+        tx = np.zeros((n, c, 9 + 2 * p, 8 + 2 * p, k, k))
+        for i in range(k):
+            for j in range(k):
+                tx[:, :, i:i + stride * oh:stride,
+                   j:j + stride * ow:stride, i, j] = share
+        checks = [(y, (cols / cnt[:, :, None, None]).reshape(
+                       n, c, -1, oh, ow), 2),
+                  (gx, tx[:, :, p:p + 9, p:p + 8].reshape(n, c, 9, 8, -1), 4)]
+        for got, terms, axis in checks:
+            exact, bound = exact_and_bound(terms, axis)
+            assert got.dtype == np.float32 and got.shape == exact.shape
+            assert (np.abs(got - exact) <= bound).all(), (k, stride, p)
+
+
 # The strided conv and the two pools as they ran before every windowed op
 # read one flat padded buffer: np.pad, then strided taps of the padded map,
 # with the conv's columns reduced by the same matmuls as conv2d's. Kept as
@@ -453,6 +485,35 @@ def test_strided_conv_and_pools_match_np_pad_oracle(dtype):
                             strict=True):
                 assert u.dtype == dtype
                 assert np.array_equal(u, v), (kind, k, s, p)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_windows_match_as_strided_view(stride):
+    # the ndarray-constructor view against the as_strided view it
+    # replaced: same values and strides, read-only, on xp's own memory
+    rng = np.random.Generator(np.random.PCG64(94))
+    x = rng.normal(size=(3, 4, 9, 8)).astype(np.float32)
+    maps = [layers._pad(x, 1, 1), layers._pad(x, 0, 0),
+            x[1:]]  # padded, unpadded (x itself), an offset contiguous slice
+    assert maps[1] is x and maps[2].flags.c_contiguous
+    for xp in maps:
+        for k in (3, 1):
+            oh = (xp.shape[2] - k) // stride + 1
+            ow = (xp.shape[3] - k) // stride + 1
+            win = layers._windows(xp, k, k, stride, stride, oh, ow)
+            sn, sc, sy, sx = xp.strides
+            want = as_strided(xp, xp.shape[:2] + (k, k, oh, ow),
+                              (sn, sc, sy, sx, sy * stride, sx * stride),
+                              writeable=False)
+            assert win.shape == want.shape and win.strides == want.strides
+            assert win.dtype == xp.dtype
+            assert np.array_equal(win, want)
+            assert not win.flags.writeable
+            assert np.shares_memory(win, xp)
+            assert win.__array_interface__["data"][0] == \
+                xp.__array_interface__["data"][0]
+            with pytest.raises(ValueError):
+                win[(0,) * 6] = 0.0
 
 
 # (input shape, kernel, padding) per stride, each with 17 or 18 output

@@ -506,6 +506,20 @@ def test_label_map_matches_argmax_with_planted_ties(monkeypatch, classes):
     assert got[-1, -1] == 0
 
 
+def test_label_map_matches_argmax_on_a_real_forward():
+    # a float32 (3, 896, 896) logit map from an eval forward of the desk
+    # net, where every class wins somewhere
+    net = CSDN(NetworkConfig.desk(), seed=0).eval()
+    frames = generate_phantom(7, 896).frames[None].astype(np.float32)
+    with no_grad():
+        logits = net(Tensor(frames)).main_logits.data[0]
+    assert logits.dtype == np.float32 and logits.shape == (3, 896, 896)
+    want = logits.argmax(axis=0)
+    assert np.array_equal(np.unique(want), [0, 1, 2])
+    got = label_map(logits)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
 class CyclingModel(ConstModel):
     """Forward stub whose winning class steps through ``classes``."""
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import csdn
-from csdn import layers
+from csdn import layers, serial
 from csdn.autodiff import AutodiffError, Tensor, no_grad
 from csdn.metrics import label_map
 from csdn.model import (CSDN, AuxHead, ContextBlock, ConvBNAct, FusionBlock,
@@ -210,6 +210,33 @@ def test_aux_head_shape():
 
 
 # -- whole-network properties -------------------------------------------------
+
+
+def test_unseeded_net_and_weight_load_draw_no_init(monkeypatch, tmp_path):
+    # seed=None builds the seeded net's tree with zero conv weights, and a
+    # weight file fills that tree: no He-uniform draw is made on the way
+    seeded = CSDN(NetworkConfig.tiny(), seed=3)
+    path = str(tmp_path / "w.bin")
+    serial.save_weights(path, seeded)
+    he_uniform = layers.he_uniform
+
+    def no_draw(rng, shape, fan_in):
+        assert rng is None, "an init was drawn"
+        return he_uniform(rng, shape, fan_in)
+
+    monkeypatch.setattr(layers, "he_uniform", no_draw)
+    bare = CSDN(NetworkConfig.tiny(), seed=None)
+    for (na, ta), (nb, tb) in zip(seeded.named_parameters(),
+                                  bare.named_parameters(), strict=True):
+        assert na == nb and ta.shape == tb.shape and tb.dtype == np.float32
+        if na.endswith(".weight"):  # every conv weight, and nothing else
+            assert not tb.data.any(), na
+        else:  # biases, BN affines and PReLU slopes start from constants
+            assert np.array_equal(ta.data, tb.data), na
+    loaded = serial.load_weights(path)
+    for (na, ta), (nb, tb) in zip(seeded.named_parameters(),
+                                  loaded.named_parameters(), strict=True):
+        assert na == nb and np.array_equal(ta.data, tb.data)
 
 
 def test_same_seed_same_weights():
